@@ -32,7 +32,6 @@ import (
 
 	"github.com/bounded-eval/beas/internal/access"
 	"github.com/bounded-eval/beas/internal/analyze"
-	"github.com/bounded-eval/beas/internal/core"
 	"github.com/bounded-eval/beas/internal/discovery"
 	"github.com/bounded-eval/beas/internal/engine"
 	"github.com/bounded-eval/beas/internal/obs"
@@ -63,14 +62,14 @@ type DB struct {
 	// Always present; consulted only when the optimizer is on.
 	statsCat *stats.Catalog
 	// optzr is the cost-based bounded-plan optimizer; nil means off (the
-	// default), in which case every query takes the historical greedy
-	// code paths untouched. Guarded by db.mu.
+	// default): plans then run the checker's own greedy derivation.
+	// Guarded by db.mu.
 	optzr *opt.Optimizer
 	// par is the intra-query parallelism: with par > 1 bounded plans fan
 	// their fetch steps across a worker pool and the fallback engine's
 	// hash joins build and probe shard-parallel. 0 or 1 means serial
-	// (the default) — the serial code paths are taken untouched and
-	// per-query results are identical either way. Guarded by db.mu.
+	// (the default); per-query results are identical either way.
+	// Guarded by db.mu.
 	par int
 	// vecOff disables the columnar (vectorized) executors; the zero value
 	// means vectorized execution is ON. Guarded by db.mu.
@@ -78,15 +77,20 @@ type DB struct {
 	// batch is the columnar batch row capacity; 0 means the default
 	// (iter.BatchSize). Guarded by db.mu.
 	batch int
+	// execEpoch counts changes of the four settings above; prepared state
+	// (prepare.go) embeds them and is rebuilt when it moved. Guarded by
+	// db.mu.
+	execEpoch uint64
 
 	// qc is the unified query cache (internal/qcache): a bounded LRU of
-	// parsed statement templates — always on, replacing the old
-	// unbounded per-text plan cache — plus the opt-in semantic result
-	// tier of materialized bounded answers. catalogVersion invalidates
-	// templates on any schema or access-schema change. Both the
-	// template lookup and the store happen under db.mu (read suffices),
-	// so a stale template can never be re-inserted after a concurrent
-	// DDL bumps the version — see parseLocked.
+	// parsed statement templates with the prepared state deduced from
+	// them — always on, replacing the old unbounded per-text plan cache —
+	// plus the opt-in semantic result tier of materialized bounded
+	// answers. catalogVersion invalidates templates on any schema or
+	// access-schema change. Both the template lookup and the store happen
+	// under db.mu (read suffices), so a stale template can never be
+	// re-inserted after a concurrent DDL bumps the version — see
+	// parseLocked.
 	qc             *qcache.Cache
 	catalogVersion uint64
 
@@ -151,8 +155,10 @@ func NewDB() *DB {
 // engine plans joins with live NDVs and histograms. Results are
 // identical either way — only step order and join shapes change — and
 // the deduced worst-case bound reported for admission control is
-// unchanged. With it off, queries take the historical code paths
-// untouched. In-flight queries keep the setting they started with.
+// unchanged. With it off, plans run the checker's greedy derivation.
+// Switching re-prepares every statement on its next execution: a plan
+// ordered under one setting never runs under the other. In-flight
+// queries keep the setting they started with.
 func (db *DB) SetOptimizer(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -161,8 +167,7 @@ func (db *DB) SetOptimizer(on bool) {
 	} else {
 		db.optzr = nil
 	}
-	db.rebuildFallbackLocked()
-	db.qc.FlushResults()
+	db.execConfigChangedLocked()
 }
 
 // OptimizerEnabled reports whether the cost-based optimizer is on.
@@ -172,9 +177,13 @@ func (db *DB) OptimizerEnabled() bool {
 	return db.optzr != nil
 }
 
-// rebuildFallbackLocked reconstructs the fallback engine for the current
-// parallelism and optimizer setting. Callers hold db.mu (write).
-func (db *DB) rebuildFallbackLocked() {
+// execConfigChangedLocked makes a changed optimizer, vectorization, batch
+// size or parallelism take effect: plans and cached answers made under
+// the old settings are retired (template analyses stay valid) and the
+// fallback engine is rebuilt. Callers hold db.mu (write).
+func (db *DB) execConfigChangedLocked() {
+	db.execEpoch++
+	db.qc.FlushResults()
 	par := db.par
 	if par < 1 {
 		par = 1
@@ -197,8 +206,7 @@ func (db *DB) SetVectorized(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.vecOff = !on
-	db.rebuildFallbackLocked()
-	db.qc.FlushResults()
+	db.execConfigChangedLocked()
 }
 
 // VectorizedEnabled reports whether columnar execution is on.
@@ -218,8 +226,7 @@ func (db *DB) SetBatchSize(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.batch = n
-	db.rebuildFallbackLocked()
-	db.qc.FlushResults()
+	db.execConfigChangedLocked()
 }
 
 // BatchSize reports the columnar batch row capacity (0 = default).
@@ -227,23 +234,6 @@ func (db *DB) BatchSize() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.batch
-}
-
-// vecPlanLocked stamps the columnar-execution settings onto a bounded
-// plan. Callers hold db.mu (read suffices).
-func (db *DB) vecPlanLocked(plan *core.Plan) {
-	plan.Vectorized = !db.vecOff
-	plan.BatchSize = db.batch
-}
-
-// rewriteLocked runs the cost-based optimizer over a checker verdict
-// when the optimizer is on; with it off the verdict passes through
-// untouched. Callers hold db.mu (read suffices).
-func (db *DB) rewriteLocked(q *analyze.Query, chk *core.CheckResult) *core.CheckResult {
-	if db.optzr == nil {
-		return chk
-	}
-	return db.optzr.Rewrite(q, chk, db.access)
 }
 
 // PlanCacheStats reports how many query parses were served from the
@@ -326,8 +316,7 @@ func (db *DB) SetParallelism(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.par = n
-	db.rebuildFallbackLocked()
-	db.qc.FlushResults()
+	db.execConfigChangedLocked()
 }
 
 // Parallelism reports the current intra-query parallelism (1 = serial).

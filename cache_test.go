@@ -406,6 +406,7 @@ func TestPlanCacheBoundedGrowth(t *testing.T) {
 	const budget = 1 << 20
 	db.SetResultCacheLimits(budget, 0)
 	const distinct = 100000
+	sql0 := "SELECT u.b FROM u WHERE u.a = 0"
 	for i := 0; i < distinct; i++ {
 		sql := fmt.Sprintf("SELECT u.b FROM u WHERE u.a = %d", i)
 		if _, err := db.Check(sql); err != nil {
@@ -421,6 +422,13 @@ func TestPlanCacheBoundedGrowth(t *testing.T) {
 	}
 	if st.TemplateEntries == 0 {
 		t.Fatal("template tier is empty after the flood; admission is broken")
+	}
+	// Each text carries its prepared state — verdict, plan, describe text
+	// — which must be charged to the budget, not ride along for free: at
+	// the text-only estimate (8 bytes per character + 512) twice as many
+	// entries would fit.
+	if perEntry := st.TemplateBytes / int64(st.TemplateEntries); perEntry < 2*(int64(len(sql0))*8+512) {
+		t.Fatalf("template tier accounts %d bytes per entry; prepared state is not charged", perEntry)
 	}
 	// The most recent statement must still be cached and usable.
 	sql := fmt.Sprintf("SELECT u.b FROM u WHERE u.a = %d", distinct-1)

@@ -78,9 +78,9 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (*ExplainAn
 
 // NewExplainAnalysis folds an executed query's statistics into the
 // estimated-vs-actual report. Callers that execute through their own
-// path (e.g. the query service, which drains a cursor so it can
-// re-verify admission before any unbounded work) use this instead of
-// ExplainAnalyze; rows is the result row count.
+// path (e.g. the query service, which drains the cursor of the
+// statement it admitted) use this instead of ExplainAnalyze; rows is
+// the result row count.
 func NewExplainAnalysis(sql string, st *Stats, rows int) *ExplainAnalysis {
 	ea := &ExplainAnalysis{
 		SQL:           sql,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bounded-eval/beas/internal/schema"
 	"github.com/bounded-eval/beas/internal/storage"
@@ -22,7 +23,17 @@ type Schema struct {
 	constraints []*Constraint
 	indexes     map[string]*Index // by Constraint.ID()
 	byRel       map[string][]*Constraint
+
+	// boundEpoch advances whenever index maintenance changes a bound the
+	// checker reads without the constraint set itself changing: an
+	// auto-widened N, an index invalidated by a violation, a Retighten.
+	boundEpoch atomic.Uint64
 }
+
+// BoundEpoch returns the schema's bound epoch. A checker verdict deduced
+// at one epoch is still what Check would return while the epoch (and the
+// constraint set) are unchanged; read it before running the checker.
+func (s *Schema) BoundEpoch() uint64 { return s.boundEpoch.Load() }
 
 // NewSchema creates an empty access schema over the given store.
 func NewSchema(store *storage.Store) *Schema {
@@ -56,6 +67,7 @@ func (s *Schema) Register(c *Constraint, autoWiden bool) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	idx.epoch = &s.boundEpoch
 	if err := t.ObserveBuild(idx, idx.buildFrom); err != nil {
 		return nil, err
 	}

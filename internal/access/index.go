@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bounded-eval/beas/internal/storage"
 	"github.com/bounded-eval/beas/internal/value"
@@ -51,6 +52,20 @@ type Index struct {
 	vmu        sync.Mutex
 	invalid    bool
 	violations []Violation
+
+	// epoch, when set (Schema.Register), is the owning schema's bound
+	// epoch: maintenance bumps it whenever it changes what the checker
+	// would deduce from this index — N widened, or the index invalidated.
+	epoch *atomic.Uint64
+}
+
+// bumpEpoch publishes a change of C.N or of the invalid flag. Callers
+// make the change first, so a reader that still sees the old epoch has
+// at worst deduced from the state of a moment ago.
+func (ix *Index) bumpEpoch() {
+	if ix.epoch != nil {
+		ix.epoch.Add(1)
+	}
 }
 
 // indexShard is one partition of the bucket table.
@@ -377,13 +392,17 @@ func (ix *Index) OnInsert(row value.Row) {
 		}
 		if ix.AutoWiden {
 			ix.C.N = n
-		} else {
+			ix.bumpEpoch()
+			return
+		}
+		ix.violations = append(ix.violations, Violation{
+			Constraint: ix.C,
+			XKey:       row.Project(ix.xPos),
+			Count:      n,
+		})
+		if !ix.invalid {
 			ix.invalid = true
-			ix.violations = append(ix.violations, Violation{
-				Constraint: ix.C,
-				XKey:       row.Project(ix.xPos),
-				Count:      n,
-			})
+			ix.bumpEpoch()
 		}
 	}
 }
@@ -467,6 +486,7 @@ func (ix *Index) Retighten() int {
 	ix.invalid = false
 	ix.violations = nil
 	ix.vmu.Unlock()
+	ix.bumpEpoch()
 	return maxN
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/bounded-eval/beas/internal/analyze"
@@ -173,6 +174,29 @@ type wBucket struct {
 	counts []int64
 }
 
+// memoPool recycles the fetch steps' bucket memos between runs. A memo
+// is regrown from nothing by every step of every run otherwise, and for
+// a plan that runs thousands of times a second that was the largest
+// single source of garbage left in the bounded executor.
+var memoPool = sync.Pool{New: func() any { return make(map[string]wBucket) }}
+
+// maxPooledMemo caps the memos given back: clearing a map costs time in
+// proportion to the size it once had, which every small run after one
+// huge run would pay.
+const maxPooledMemo = 256
+
+func acquireMemo() map[string]wBucket { return memoPool.Get().(map[string]wBucket) }
+
+// releaseMemo empties *m and gives it back, once: Close may run twice,
+// or without Open.
+func releaseMemo(m *map[string]wBucket) {
+	if *m != nil && len(*m) <= maxPooledMemo {
+		clear(*m)
+		memoPool.Put(*m)
+	}
+	*m = nil
+}
+
 // stepOp executes one fetch step as a streaming operator: for every
 // weighted input row it enumerates the step's key candidates, probes the
 // constraint index (each distinct key exactly once, memoised — the
@@ -196,12 +220,16 @@ type stepOp struct {
 }
 
 func (s *stepOp) Open() error {
-	s.memo = make(map[string]wBucket)
+	s.memo = acquireMemo()
 	s.key = make([]value.Value, len(s.step.Keys))
 	return s.in.Open()
 }
 
-func (s *stepOp) Close() error { return s.in.Close() }
+func (s *stepOp) Close() error {
+	s.done = true // the memo is gone: a late Next reports exhaustion
+	releaseMemo(&s.memo)
+	return s.in.Close()
+}
 
 func (s *stepOp) Next(b *iter.Batch) (bool, error) {
 	// Record self time only: the pull into upstream steps is timed by
@@ -263,22 +291,29 @@ type colStepOp struct {
 	memo    map[string]wBucket
 	key     []value.Value
 	kb      []byte
-	buf     iter.ColBatch
-	pos     int       // next live-row index in buf
-	scratch value.Row // current input row, read from buf; never mutated
-	outRow  value.Row // output row under construction, copied per emission
+	buf     *iter.ColBatch // pooled: acquired by Open, released by Close
+	pos     int            // next live-row index in buf
+	scratch value.Row      // current input row, read from buf; never mutated
+	outRow  value.Row      // output row under construction, copied per emission
 	done    bool
 }
 
 func (s *colStepOp) Open() error {
-	s.memo = make(map[string]wBucket)
+	s.memo = acquireMemo()
 	s.key = make([]value.Value, len(s.step.Keys))
 	s.scratch = make(value.Row, s.layout.Len())
 	s.outRow = make(value.Row, s.layout.Len())
+	s.buf = iter.AcquireColBatch()
+	s.buf.Reset(s.layout.Len())
 	return s.in.Open()
 }
 
-func (s *colStepOp) Close() error { return s.in.Close() }
+func (s *colStepOp) Close() error {
+	s.done = true // buf and memo are gone: a late NextCols reports exhaustion
+	iter.ReleaseColBatch(&s.buf)
+	releaseMemo(&s.memo)
+	return s.in.Close()
+}
 
 func (s *colStepOp) NextCols(b *iter.ColBatch) (bool, error) {
 	t0 := time.Now()
@@ -291,7 +326,7 @@ func (s *colStepOp) NextCols(b *iter.ColBatch) (bool, error) {
 	for b.Rows() < s.batch && !s.done {
 		if s.pos >= s.buf.Len() {
 			u0 := time.Now()
-			ok, err := s.in.NextCols(&s.buf)
+			ok, err := s.in.NextCols(s.buf)
 			upstream += time.Since(u0)
 			if err != nil {
 				return false, err

@@ -46,7 +46,7 @@ type colProjectIter struct {
 	q      *analyze.Query
 	layout *analyze.Layout
 	in     iter.ColIterator
-	cb     iter.ColBatch
+	cb     *iter.ColBatch // pooled: acquired by Open, released by Close
 
 	outSlots     []int // per output: batch column, or -1 for scalar eval
 	resolved     bool
@@ -86,15 +86,19 @@ func (p *colProjectIter) Open() error {
 		p.seen = make(map[string]struct{})
 		p.keySlots = p.outSlots
 	}
+	p.cb = iter.AcquireColBatch()
 	return p.in.Open()
 }
 
-func (p *colProjectIter) Close() error { return p.in.Close() }
+func (p *colProjectIter) Close() error {
+	iter.ReleaseColBatch(&p.cb)
+	return p.in.Close()
+}
 
 func (p *colProjectIter) Next(b *iter.Batch) (bool, error) {
 	b.Reset()
 	for b.Len() == 0 {
-		ok, err := p.in.NextCols(&p.cb)
+		ok, err := p.in.NextCols(p.cb)
 		if err != nil || !ok {
 			return b.Len() > 0, err
 		}
@@ -174,7 +178,7 @@ type colAggIter struct {
 	layout *analyze.Layout
 	in     iter.ColIterator
 	out    iter.Iterator
-	cb     iter.ColBatch
+	cb     *iter.ColBatch // pooled: acquired by Open, released by Close
 
 	keySlots []int // nil unless every GROUP BY expr is a materialised ColRef
 	argSlots []int // per agg spec: batch column, or -1 for scalar eval
@@ -210,10 +214,12 @@ func (a *colAggIter) Open() error {
 			}
 		}
 	}
+	a.cb = iter.AcquireColBatch()
 	return a.in.Open()
 }
 
 func (a *colAggIter) Close() error {
+	iter.ReleaseColBatch(&a.cb)
 	if a.out != nil {
 		a.out.Close()
 	}
@@ -224,7 +230,7 @@ func (a *colAggIter) Next(b *iter.Batch) (bool, error) {
 	if a.out == nil {
 		acc := newAggregator(a.q, a.layout)
 		for {
-			ok, err := a.in.NextCols(&a.cb)
+			ok, err := a.in.NextCols(a.cb)
 			if err != nil {
 				return false, err
 			}
@@ -245,7 +251,7 @@ func (a *colAggIter) Next(b *iter.Batch) (bool, error) {
 }
 
 func (a *colAggIter) foldBatch(acc *aggregator) error {
-	cb := &a.cb
+	cb := a.cb
 	n := cb.Len()
 	if n == 0 {
 		return nil

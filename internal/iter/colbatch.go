@@ -1,6 +1,10 @@
 package iter
 
-import "github.com/bounded-eval/beas/internal/value"
+import (
+	"sync"
+
+	"github.com/bounded-eval/beas/internal/value"
+)
 
 // Column is a typed vector: one attribute's values across the rows of a
 // ColBatch, stored in a per-kind flat slice plus a null bitmap. The kind
@@ -246,6 +250,28 @@ type ColBatch struct {
 	n        int
 	wspare   []int64
 	selSpare []int
+}
+
+// colBatchPool recycles batches between pipelines. A plan that runs
+// thousands of times a second otherwise regrows every column vector of
+// every operator buffer from nothing on each run, and that garbage — not
+// the answer — is most of what such a query allocates.
+var colBatchPool = sync.Pool{New: func() any { return new(ColBatch) }}
+
+// AcquireColBatch returns an empty batch, reusing the column storage of
+// one given back with ReleaseColBatch when there is one. The caller Resets it
+// (or hands it to a producer, which does) before use.
+func AcquireColBatch() *ColBatch { return colBatchPool.Get().(*ColBatch) }
+
+// ReleaseColBatch gives *b's storage back for reuse and clears *b. The
+// operator that acquired the batch calls it from Close: by the ColBatch
+// contract nothing reads a batch after its consumer is closed. A nil *b
+// is left alone, so Close may run twice, or without Open.
+func ReleaseColBatch(b **ColBatch) {
+	if *b != nil {
+		colBatchPool.Put(*b)
+		*b = nil
+	}
 }
 
 // Reset empties the batch and sets its width, keeping the capacity of

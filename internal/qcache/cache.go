@@ -70,7 +70,8 @@ type Template struct {
 	Fingerprint string
 	Params      []value.Value
 
-	bytes int64
+	bytes int64 // accounted footprint, derived included
+	extra int64 // the derived-state share of bytes (ChargeTemplate)
 	elem  *list.Element
 }
 
@@ -302,9 +303,7 @@ func (c *Cache) SetLimits(templateMaxBytes, resultMaxBytes int64) {
 	}
 	c.tmplCap = templateMaxBytes
 	c.resCap = resultMaxBytes
-	for c.tmplBytes > c.tmplCap && c.tmplLRU.Len() > 0 {
-		c.removeTemplateLocked(c.tmplLRU.Back().Value.(*Template))
-	}
+	c.evictTemplatesLocked()
 	for c.resBytes > c.resCap && c.resLRU.Len() > 0 {
 		c.evictions++
 		c.dropEntryLocked(c.resLRU.Back().Value.(*entry))
@@ -341,6 +340,7 @@ func (c *Cache) PutTemplate(t *Template) {
 	// The parsed form is opaque, so its footprint is estimated from the
 	// text: analyzed ASTs in this engine run a small constant factor of
 	// the statement length, plus fixed per-entry overhead.
+	t.extra = 0
 	t.bytes = int64(len(t.Text))*8 + int64(len(t.ResultKey)) + int64(len(t.Fingerprint)) + 24*int64(len(t.Params)) + 512
 	if t.bytes > c.tmplCap {
 		return
@@ -348,12 +348,36 @@ func (c *Cache) PutTemplate(t *Template) {
 	c.tmpl[t.Text] = t
 	t.elem = c.tmplLRU.PushFront(t)
 	c.tmplBytes += t.bytes
-	for c.tmplBytes > c.tmplCap {
-		back := c.tmplLRU.Back()
-		if back == nil {
-			break
-		}
-		c.removeTemplateLocked(back.Value.(*Template))
+	c.evictTemplatesLocked()
+}
+
+// ChargeTemplate accounts extra bytes of derived state that the owner of
+// t.Parsed hung off it after admission (the facade's prepared plan: a
+// check verdict, plan steps and describe text run to several KB, far
+// more than the text-based estimate covers), then evicts from the LRU
+// tail while the tier is over budget. extra replaces any earlier charge,
+// so re-charging after the state is rebuilt is idempotent. A template no
+// longer in the tier is left alone; one that cannot fit at all is dropped.
+func (c *Cache) ChargeTemplate(t *Template, extra int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.elem == nil {
+		return
+	}
+	c.tmplBytes += extra - t.extra
+	t.bytes += extra - t.extra
+	t.extra = extra
+	if t.bytes > c.tmplCap {
+		c.removeTemplateLocked(t)
+	}
+	c.evictTemplatesLocked()
+}
+
+// evictTemplatesLocked drops least-recently-used templates until the
+// tier fits its byte budget.
+func (c *Cache) evictTemplatesLocked() {
+	for c.tmplBytes > c.tmplCap && c.tmplLRU.Len() > 0 {
+		c.removeTemplateLocked(c.tmplLRU.Back().Value.(*Template))
 	}
 }
 

@@ -79,6 +79,39 @@ func TestTemplateTierVersioningAndEviction(t *testing.T) {
 	}
 }
 
+// TestChargeTemplate: derived state hung off a template after admission
+// counts against the tier's budget like the template itself — charging
+// evicts from the LRU tail, re-charging replaces the earlier charge, and
+// a charge on an evicted template, or one that cannot fit, holds nothing.
+func TestChargeTemplate(t *testing.T) {
+	c := New(1700, 0, false) // three bare 528-byte templates fit
+	ts := map[string]*Template{}
+	for _, text := range []string{"q1", "q2", "q3"} {
+		ts[text] = &Template{Text: text, Version: 1}
+		c.PutTemplate(ts[text])
+	}
+	c.ChargeTemplate(ts["q3"], 600)
+	if st := c.Stats(); st.TemplateEntries != 2 || st.TemplateBytes != 2*528+600 {
+		t.Fatalf("after charging 600: %d entries, %d bytes; want 2 entries (q1 evicted), %d bytes", st.TemplateEntries, st.TemplateBytes, 2*528+600)
+	}
+	if _, ok := c.GetTemplate("q1", 1); ok {
+		t.Fatal("q1 (the LRU tail) should have made room for the charge")
+	}
+	c.ChargeTemplate(ts["q3"], 100)
+	c.ChargeTemplate(ts["q3"], 100)
+	if st := c.Stats(); st.TemplateBytes != 2*528+100 {
+		t.Fatalf("re-charging must replace, not add: %d bytes, want %d", st.TemplateBytes, 2*528+100)
+	}
+	c.ChargeTemplate(ts["q1"], 5000) // evicted above: nothing to account
+	if st := c.Stats(); st.TemplateEntries != 2 || st.TemplateBytes != 2*528+100 {
+		t.Fatalf("charging an evicted template changed the tier: %+v", st)
+	}
+	c.ChargeTemplate(ts["q2"], 5000) // cannot fit at all: dropped
+	if st := c.Stats(); st.TemplateEntries != 1 || st.TemplateBytes != 528+100 {
+		t.Fatalf("an over-budget charge must drop its template: %+v", st)
+	}
+}
+
 func TestResultTierRequiresEnable(t *testing.T) {
 	tab := newTestTable(t)
 	con := &access.Constraint{Rel: "r", X: []string{"a"}, Y: []string{"b"}, N: 3}

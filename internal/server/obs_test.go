@@ -302,7 +302,11 @@ func TestDisconnectAccounting(t *testing.T) {
 	s := New(db, Config{})
 
 	w := &failingWriter{}
-	s.streamQuery(context.Background(), w, "SELECT item FROM orders WHERE cust = 0", decideAdmit, time.Now(), nil)
+	stmt, err := db.Prepare("SELECT item FROM orders WHERE cust = 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.streamQuery(context.Background(), w, stmt, decideAdmit, time.Now(), nil)
 
 	st := s.Stats()
 	if st.Disconnected != 1 {

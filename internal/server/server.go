@@ -174,6 +174,10 @@ type Server struct {
 	capture *obs.Recorder // nil = no flight recorder
 	start   time.Time
 	mux     *http.ServeMux
+
+	// afterAdmit, set only by tests, runs between a statement's admission
+	// and its execution: the window in which a DDL can make it stale.
+	afterAdmit func()
 }
 
 // New creates a Server over db. The database may be shared with other
@@ -561,11 +565,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { s.m.latency.Observe(time.Since(start).Seconds()) }()
 	s.m.queries.Add(1)
+	// A statement that went stale between admission and execution has
+	// run nothing and written nothing: it re-enters admission once.
+	if s.admitQuery(ctx, w, sql, start, tr) && s.admitQuery(ctx, w, sql, start, tr) {
+		s.failStale(w, tr)
+	}
+}
 
+// admitQuery prepares sql, decides admission on the prepared verdict and
+// executes that same statement, so the bound the client is told is the
+// bound of the plan that runs. It reports stale, with nothing written,
+// when a catalog or settings change landed between the two.
+func (s *Server) admitQuery(ctx context.Context, w http.ResponseWriter, sql string, start time.Time, tr *obs.Trace) (stale bool) {
 	// Admission: the checker deduces the access bound without executing
 	// anything, so rejection costs zero data access.
 	c0 := time.Now()
-	info, err := s.db.CheckContext(ctx, sql)
+	stmt, err := s.db.PrepareContext(ctx, sql)
 	s.m.stageCheck.Observe(time.Since(c0).Seconds())
 	if err != nil {
 		tr.ForceKeep()
@@ -575,8 +590,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.m.failed.Add(1) // parse/analysis error
 		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return false
 	}
+	info := stmt.CheckInfo()
 	s.m.observeBound(info)
 	dec := s.admit(info)
 	if tr != nil {
@@ -593,19 +609,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	release, ok := s.gate(ctx, w, info, dec, "query")
 	if !ok {
-		return
+		return false
 	}
 	defer release()
+	if s.afterAdmit != nil {
+		s.afterAdmit()
+	}
 
 	e0 := time.Now()
 	defer func() { s.m.stageExecute.Observe(time.Since(e0).Seconds()) }()
 	if dec == decideDowngrade {
-		s.m.admitted.Add(1)
-		s.m.downgraded.Add(1)
-		s.streamApprox(ctx, w, sql, info, start, tr)
-		return
+		return s.streamApprox(ctx, w, stmt, info, start, tr)
 	}
-	s.streamQuery(ctx, w, sql, dec, start, tr)
+	return s.streamQuery(ctx, w, stmt, dec, start, tr)
+}
+
+// failOpen answers a statement that failed before its response started;
+// a stale statement is left unanswered for the caller to re-admit.
+func (s *Server) failOpen(w http.ResponseWriter, err error, tr *obs.Trace) (stale bool) {
+	if errors.Is(err, beas.ErrStmtStale) {
+		return true
+	}
+	tr.ForceKeep()
+	if canceled(err) {
+		s.m.canceled.Add(1)
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+	} else {
+		s.m.failed.Add(1)
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	}
+	return false
+}
+
+// failStale answers a statement whose re-admission went stale as well:
+// the catalog is changing faster than the request can be admitted.
+func (s *Server) failStale(w http.ResponseWriter, tr *obs.Trace) {
+	tr.ForceKeep()
+	s.m.failed.Add(1)
+	w.Header().Set("Retry-After", "1")
+	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "access schema or settings changed during admission, twice; retry"})
 }
 
 // gate enforces an admission decision's control flow for an executing
@@ -718,57 +760,18 @@ func (n *ndjson) fail(err error) {
 	n.enc.Encode(streamError{Error: err.Error()})
 }
 
-// streamQuery executes sql through a streaming cursor and writes the
-// NDJSON response: header, row chunks, stats trailer. start is when the
-// request began (for latency-based slow-query logging) and tr its trace
-// (nil when tracing is off).
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, sql string, dec decision, start time.Time, tr *obs.Trace) {
-	ri, err := s.db.QueryIterContext(ctx, sql)
+// streamQuery executes the admitted statement through a streaming
+// cursor and writes the NDJSON response: header, row chunks, stats
+// trailer. start is when the request began (for latency-based slow-query
+// logging) and tr its trace (nil when tracing is off).
+func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, stmt *beas.Stmt, dec decision, start time.Time, tr *obs.Trace) (stale bool) {
+	sql := stmt.SQL()
+	ri, err := stmt.QueryIterContext(ctx)
 	if err != nil {
-		tr.ForceKeep()
-		if canceled(err) {
-			s.m.canceled.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		} else {
-			s.m.failed.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
-		return
+		return s.failOpen(w, err, tr)
 	}
 	defer ri.Close()
-
-	// Re-verify admission against the catalog the cursor actually runs
-	// on: a DDL commit can land between the admission check and cursor
-	// construction, and the fallback path must not smuggle an uncovered
-	// full scan past AllowUncovered=false, nor a grown bound past a
-	// reject budget. (Construction only plans and runs the bounded part;
-	// no unbounded scan has streamed yet.)
 	st := ri.Stats()
-	if !st.Covered && !s.cfg.AllowUncovered {
-		ri.Close()
-		tr.ForceKeep()
-		s.m.rejectedUncovered.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error: "query rejected: access schema changed during admission; no longer covered",
-		})
-		return
-	}
-	if dec == decideAdmit && st.Covered && s.cfg.BoundBudget > 0 && st.Bound > s.cfg.BoundBudget {
-		// Rejected under every policy, not just PolicyReject: this
-		// request was admitted as within-budget, so it holds a plain
-		// worker slot — downgrading or heavy-laning it here would dodge
-		// the path those policies run through. A retry re-enters
-		// admission and gets the configured over-budget treatment.
-		ri.Close()
-		tr.ForceKeep()
-		s.m.rejectedBudget.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error:  fmt.Sprintf("query rejected: access schema changed during admission; deduced bound is now %d, over budget %d — retry", st.Bound, s.cfg.BoundBudget),
-			Bound:  st.Bound,
-			Budget: s.cfg.BoundBudget,
-		})
-		return
-	}
 	s.m.admitted.Add(1)
 
 	// Surface the semantic-result-cache outcome before the body starts:
@@ -804,7 +807,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, sql str
 			s.finishQuery(sql, outcome, ri.Stats(), rows, start, tr)
 			s.captureQuery(sql, string(dec), outcome, ri.Stats(), rows, hasher, 0, start, tr)
 			out.fail(err)
-			return
+			return false
 		}
 		if batch == nil {
 			break
@@ -824,13 +827,14 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, sql str
 			}
 			s.finishQuery(sql, outcome, ri.Stats(), rows, start, tr)
 			s.captureQuery(sql, string(dec), outcome, ri.Stats(), rows, hasher, 0, start, tr)
-			return
+			return false
 		}
 	}
 	ri.Close()
 	s.finishQuery(sql, outcomeOK, ri.Stats(), rows, start, tr)
 	s.captureQuery(sql, string(dec), outcomeOK, ri.Stats(), rows, hasher, 0, start, tr)
 	out.trailer(statsFrom(ri.Stats(), rows))
+	return false
 }
 
 // captureQuery appends one flight-recorder line for a terminal query
@@ -872,22 +876,17 @@ func (s *Server) captureQuery(sql, admission, outcome string, st *beas.Stats, ro
 	s.capture.Record(rec)
 }
 
-// streamApprox executes a downgraded query under the approximation
+// streamApprox executes a downgraded statement under the approximation
 // budget and writes the same NDJSON shape, with the accuracy lower bound
 // in the trailer.
-func (s *Server) streamApprox(ctx context.Context, w http.ResponseWriter, sql string, info *beas.CheckInfo, start time.Time, tr *obs.Trace) {
-	res, coverage, err := s.db.QueryApproxContext(ctx, sql, s.cfg.ApproxBudget)
+func (s *Server) streamApprox(ctx context.Context, w http.ResponseWriter, stmt *beas.Stmt, info *beas.CheckInfo, start time.Time, tr *obs.Trace) (stale bool) {
+	sql := stmt.SQL()
+	res, coverage, err := stmt.QueryApproxContext(ctx, s.cfg.ApproxBudget)
 	if err != nil {
-		tr.ForceKeep()
-		if canceled(err) {
-			s.m.canceled.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		} else {
-			s.m.failed.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
-		return
+		return s.failOpen(w, err, tr)
 	}
+	s.m.admitted.Add(1)
+	s.m.downgraded.Add(1)
 	out := newNDJSON(w)
 	out.header(queryHeader{Columns: res.Columns, Admission: string(decideDowngrade), Covered: true, Bound: info.Bound})
 	var hasher *obs.RowHash
@@ -918,6 +917,7 @@ func (s *Server) streamApprox(ctx context.Context, w http.ResponseWriter, sql st
 	st := statsFrom(&res.Stats, int64(len(res.Rows)))
 	st.Coverage = coverage
 	out.trailer(st)
+	return false
 }
 
 // checkResponse is the /check endpoint's verdict.
@@ -1040,12 +1040,22 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: rerr.Error()})
 		return
 	}
-	info, err := s.db.CheckContext(ctx, req.SQL)
+	if s.explain(ctx, w, req, start, tr) && s.explain(ctx, w, req, start, tr) {
+		s.failStale(w, tr)
+	}
+}
+
+// explain answers /explain from one prepared statement: the verdict and,
+// with analyze, that statement's execution behind the admission gates of
+// /query. Like admitQuery it reports stale with nothing written.
+func (s *Server) explain(ctx context.Context, w http.ResponseWriter, req explainRequest, start time.Time, tr *obs.Trace) (stale bool) {
+	stmt, err := s.db.PrepareContext(ctx, req.SQL)
 	if err != nil {
 		tr.ForceKeep()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+		return false
 	}
+	info := stmt.CheckInfo()
 	dec := s.admit(info)
 	resp := explainResponse{
 		Covered:   info.Covered,
@@ -1057,12 +1067,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if !req.Analyze {
 		writeJSON(w, http.StatusOK, resp)
-		return
+		return false
 	}
-	// ANALYZE executes the query, so it goes through the same admission
-	// gates as /query. There is no approximation downgrade for an
-	// analysis — an over-budget statement under PolicyApprox is rejected
-	// instead.
+	// There is no approximation downgrade for an analysis — an
+	// over-budget statement under PolicyApprox is rejected instead.
 	s.m.queries.Add(1)
 	s.m.observeBound(info)
 	if dec == decideDowngrade {
@@ -1070,50 +1078,18 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	release, ok := s.gate(ctx, w, info, dec, "explain analyze")
 	if !ok {
-		return
+		return false
 	}
 	defer release()
+	if s.afterAdmit != nil {
+		s.afterAdmit()
+	}
 
-	ri, err := s.db.QueryIterContext(ctx, req.SQL)
+	ri, err := stmt.QueryIterContext(ctx)
 	if err != nil {
-		tr.ForceKeep()
-		if canceled(err) {
-			s.m.canceled.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		} else {
-			s.m.failed.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
-		return
+		return s.failOpen(w, err, tr)
 	}
 	defer ri.Close()
-
-	// Re-verify admission against the catalog the cursor actually runs
-	// on, exactly like /query: a DDL commit between the admission check
-	// and cursor construction must not smuggle an uncovered full scan
-	// past AllowUncovered=false or a grown bound past the budget. Only
-	// the bounded part has run at this point.
-	st := ri.Stats()
-	if !st.Covered && !s.cfg.AllowUncovered {
-		ri.Close()
-		tr.ForceKeep()
-		s.m.rejectedUncovered.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error: "explain analyze rejected: access schema changed during admission; no longer covered",
-		})
-		return
-	}
-	if st.Covered && s.cfg.BoundBudget > 0 && st.Bound > s.cfg.BoundBudget {
-		ri.Close()
-		tr.ForceKeep()
-		s.m.rejectedBudget.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error:  fmt.Sprintf("explain analyze rejected: access schema changed during admission; deduced bound is now %d, over budget %d — retry", st.Bound, s.cfg.BoundBudget),
-			Bound:  st.Bound,
-			Budget: s.cfg.BoundBudget,
-		})
-		return
-	}
 
 	// Drain the cursor: the analysis wants the counters, not the rows.
 	var rows int64
@@ -1131,7 +1107,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			} else {
 				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			}
-			return
+			return false
 		}
 		if batch == nil {
 			break
@@ -1174,6 +1150,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return false
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

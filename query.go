@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/bounded-eval/beas/internal/analyze"
@@ -14,7 +15,6 @@ import (
 	"github.com/bounded-eval/beas/internal/obs"
 	"github.com/bounded-eval/beas/internal/qcache"
 	"github.com/bounded-eval/beas/internal/sqlparser"
-	"github.com/bounded-eval/beas/internal/storage"
 	"github.com/bounded-eval/beas/internal/value"
 )
 
@@ -41,24 +41,13 @@ func baselineProfile(b Baseline) (engine.Profile, error) {
 	}
 }
 
-// parsed is a fully analysed statement: one query per UNION branch.
+// parsed is a fully analysed statement: one query per UNION branch, and
+// — once some execution or Prepare needed it — the prepared state deduced
+// from them (prepare.go).
 type parsed struct {
 	branches []*analyze.Query
 	unionAll []bool // unionAll[i] applies between branch i-1 and i
-}
-
-// parse analyses sql through the template cache, taking the catalog
-// read lock for the duration. Callers that go on to execute use
-// parseLocked under their own lock instead, so analysis and execution
-// see the same catalog.
-func (db *DB) parse(sql string) (*parsed, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, _, err := db.parseLocked(sql)
-	if err != nil {
-		return nil, err
-	}
-	return t.Parsed.(*parsed), nil
+	prep     atomic.Pointer[prepared]
 }
 
 // parseLocked parses and analyses sql through the bounded template
@@ -156,16 +145,6 @@ func resultKey(sql string, p *parsed) (key, fingerprint string, params []value.V
 	return b.String(), fingerprint, params, true
 }
 
-// parseSpanLocked is parseLocked under a "parse" span annotated with the
-// template-cache outcome. Callers hold db.mu (read suffices).
-func (db *DB) parseSpanLocked(ctx context.Context, sql string) (*qcache.Template, error) {
-	_, sp := obs.StartSpan(ctx, "parse")
-	t, hit, err := db.parseLocked(sql)
-	sp.Set("planCacheHit", hit)
-	sp.End()
-	return t, err
-}
-
 // Check runs the BE Checker: is the query covered by the registered
 // access schema, and how much data would a bounded plan fetch? Nothing is
 // executed. For UNION queries every branch must be covered; the bound is
@@ -174,55 +153,13 @@ func (db *DB) Check(sql string) (*CheckInfo, error) {
 	return db.CheckContext(context.Background(), sql)
 }
 
-// CheckContext is Check under a context. The checker never touches data
-// — it only parses, analyses and walks the access schema — so ctx is
-// consulted once up front; an already-cancelled context fails fast
-// without taking the catalog lock.
+// CheckContext is Check under a context; see PrepareContext.
 func (db *DB) CheckContext(ctx context.Context, sql string) (*CheckInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, finish := db.startTrace(ctx, "check", sql)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	tmpl, err := db.parseSpanLocked(ctx, sql)
+	st, err := db.PrepareContext(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
-	p := tmpl.Parsed.(*parsed)
-	info := &CheckInfo{Covered: true, EmptyGuaranteed: true}
-	var planText string
-	for i, q := range p.branches {
-		chk := db.checkSpanLocked(ctx, q)
-		if !chk.EmptyGuaranteed {
-			info.EmptyGuaranteed = false
-		}
-		info.Bound = satAdd(info.Bound, chk.TotalBound)
-		info.OutputBound = satAdd(info.OutputBound, chk.OutputBound)
-		info.ConstraintsUsed += chk.ConstraintsUsed
-		if !chk.Covered {
-			info.Covered = false
-			if info.Reason == "" {
-				info.Reason = chk.Reason
-			}
-			pp, err := core.NewPartialPlan(q, chk)
-			if err == nil {
-				planText += fmt.Sprintf("branch %d:\n%s", i+1, pp.Describe(q))
-			}
-			continue
-		}
-		plan, err := core.NewPlan(q, chk)
-		if err != nil {
-			return nil, err
-		}
-		if len(p.branches) > 1 {
-			planText += fmt.Sprintf("branch %d:\n", i+1)
-		}
-		planText += plan.Describe()
-	}
-	info.Plan = planText
-	return info, nil
+	return st.CheckInfo(), nil
 }
 
 func satAdd(a, b uint64) uint64 {
@@ -237,7 +174,7 @@ func satAdd(a, b uint64) uint64 {
 // bounded plan runs its covered sub-query boundedly and delegates the
 // rest to the conventional engine.
 func (db *DB) Query(sql string) (*Result, error) {
-	return db.query(context.Background(), sql, true)
+	return db.QueryContext(context.Background(), sql)
 }
 
 // QueryContext is Query under a context: cancellation or deadline expiry
@@ -245,173 +182,165 @@ func (db *DB) Query(sql string) (*Result, error) {
 // and returns ctx's error. The statistics of a cancelled query reflect
 // only the work actually performed.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.query(ctx, sql, true)
+	return db.query(ctx, &Stmt{db: db, sql: sql}, true)
 }
 
 // QueryBounded evaluates sql with a bounded plan only, failing when the
 // query is not covered by the access schema.
 func (db *DB) QueryBounded(sql string) (*Result, error) {
-	return db.query(context.Background(), sql, false)
+	return db.QueryBoundedContext(context.Background(), sql)
 }
 
 // QueryBoundedContext is QueryBounded under a context.
 func (db *DB) QueryBoundedContext(ctx context.Context, sql string) (*Result, error) {
-	return db.query(ctx, sql, false)
+	return db.query(ctx, &Stmt{db: db, sql: sql}, false)
 }
 
-// query runs queryEval and, when workload digests are enabled, folds
-// the statement's terminal outcome into the per-fingerprint aggregates.
-// With digests off the only cost is one atomic load.
-func (db *DB) query(ctx context.Context, sql string, allowFallback bool) (*Result, error) {
-	dig := db.digests.Load()
-	if dig == nil {
-		return db.queryEval(ctx, sql, allowFallback, nil)
+// run is one execution's view of its statement, set up by beginLocked.
+type run struct {
+	tmpl  *qcache.Template
+	pr    *prepared
+	start time.Time
+	// hit: cached is a fresh answer from the result cache; serve it, run
+	// nothing.
+	hit    bool
+	cached qcache.CachedResult
+	// tvs, when non-nil, says the complete answer is to be offered to the
+	// result cache: every base-table version from *before* execution.
+	// Store re-checks them so an interleaved mutation can never be
+	// double-counted (once in the answer, once as a patch).
+	tvs []qcache.TableVersion
+	ran []ranBranch // the covered branches a storing run executed
+}
+
+// ranBranch is one executed branch of a storing run: the plan it ran
+// and the executor statistics carrying the probed keys.
+type ranBranch struct {
+	b    *branch
+	plan *core.Plan
+	st   *core.Stats
+}
+
+// beginLocked is the prologue of every executing entry point: resolve
+// st into r, then — result cache on — look for a fresh materialized answer. One
+// is only ever stored for a fully covered statement, so the fallback
+// policy cannot differ on a hit. Callers hold db.mu (read suffices).
+func (db *DB) beginLocked(ctx context.Context, st *Stmt, r *run) (err error) {
+	if r.tmpl, r.pr, err = db.resolveLocked(ctx, st); err != nil {
+		return err
 	}
-	start := time.Now()
-	var fp string
-	res, err := db.queryEval(ctx, sql, allowFallback, &fp)
-	observeQueryDigest(dig, fp, sql, res, err, time.Since(start))
-	return res, err
+	r.start = time.Now()
+	if !db.qc.ResultsEnabled() {
+		return nil
+	}
+	_, sp := obs.StartSpan(ctx, "cache")
+	r.cached, r.hit = db.qc.GetResult(r.tmpl.ResultKey)
+	sp.Set("hit", r.hit)
+	sp.End()
+	if !r.hit && r.pr.storable {
+		r.tvs = r.pr.tableVersions()
+	}
+	return nil
 }
 
-// queryEval is the evaluation core behind Query/QueryBounded. When
-// fpOut is non-nil it receives the statement's canonical fingerprint as
-// soon as analysis succeeds, so the caller can attribute errors that
-// happen after parse to the right digest entry.
-func (db *DB) queryEval(ctx context.Context, sql string, allowFallback bool, fpOut *string) (*Result, error) {
+// plan returns the plan this run executes for b: the shared prepared
+// plan, which no execution writes, or — for a storing run — a private
+// header over the same steps with key collection switched on.
+func (r *run) plan(b *branch) *core.Plan {
+	if r.tvs == nil {
+		return b.plan
+	}
+	keyed := *b.plan
+	keyed.CollectKeys = true
+	return &keyed
+}
+
+// storeLocked offers a completely executed, fully covered answer (st
+// holds its folded statistics) to the result cache with each step's
+// probed keys, the pre-execution table versions and the bound guards.
+// Callers hold db.mu (read suffices).
+func (db *DB) storeLocked(r *run, columns []string, rows []value.Row, st *Stats) {
+	var steps []core.StepStat
+	var regs []qcache.StepReg
+	for _, rb := range r.ran {
+		for si := range rb.plan.Steps {
+			var keys []string
+			if rb.st.StepKeys != nil {
+				keys = rb.st.StepKeys[si]
+			}
+			regs = append(regs, qcache.StepReg{Table: rb.b.tables[si], Step: &rb.plan.Steps[si], Keys: keys, StatIdx: len(steps) + si})
+		}
+		steps = append(steps, rb.st.Steps...)
+	}
+	db.qc.Store(&qcache.StoreRequest{
+		Key: r.tmpl.ResultKey,
+		Result: &qcache.CachedResult{
+			Columns:         columns,
+			Rows:            rows,
+			Bound:           st.Bound,
+			ConstraintsUsed: st.ConstraintsUsed,
+			TuplesFetched:   st.TuplesFetched,
+			Steps:           steps,
+			Plan:            st.Plan,
+			Optimized:       st.Optimized,
+		},
+		Branches:    len(r.pr.branches),
+		Query:       r.ran[0].b.q,
+		Plan:        r.ran[0].plan,
+		Steps:       regs,
+		Tables:      r.tvs,
+		OptimizerOn: r.pr.stats.Optimized,
+	})
+}
+
+// query is the evaluation core behind Query/QueryBounded.
+func (db *DB) query(ctx context.Context, st *Stmt, allowFallback bool) (res *Result, err error) {
+	var fp string
+	defer db.observeDigest(&fp, st.sql, &res, &err, time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ctx, finish := db.startTrace(ctx, "query", sql)
+	ctx, finish := db.startTrace(ctx, "query", st.sql)
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	tmpl, err := db.parseSpanLocked(ctx, sql)
-	if err != nil {
+	r := &run{}
+	if err := db.beginLocked(ctx, st, r); err != nil {
 		return nil, err
 	}
-	if fpOut != nil {
-		*fpOut = tmpl.Fingerprint
+	fp = r.tmpl.Fingerprint
+	if r.hit {
+		return db.serveCachedLocked(r), nil
 	}
-	p := tmpl.Parsed.(*parsed)
-	start := time.Now()
-
-	// Semantic result cache: serve a fresh materialized answer before
-	// even running the checker. A hit is only possible for fully covered
-	// statements, so the fallback policy cannot differ.
-	cacheOn := db.qc.ResultsEnabled()
-	if cacheOn {
-		_, sp := obs.StartSpan(ctx, "cache")
-		if cr, ok := db.qc.GetResult(tmpl.ResultKey); ok {
-			sp.Set("hit", true)
-			sp.End()
-			res := db.serveCachedLocked(&cr, start)
-			res.Stats.Fingerprint = tmpl.Fingerprint
-			return res, nil
-		}
-		sp.Set("hit", false)
-		sp.End()
+	pr := r.pr
+	if !pr.info.Covered && !allowFallback {
+		return nil, fmt.Errorf("beas: query is not covered by the access schema: %s", pr.info.Reason)
 	}
-
-	// Storing an answer needs every base-table version from *before*
-	// execution: Store re-checks them so an interleaved mutation can
-	// never be double-counted (once in the answer, once as a patch).
-	cacheable := cacheOn
-	var tvs []qcache.TableVersion
-	if cacheable {
-		seen := make(map[*storage.Table]bool)
-		for _, q := range p.branches {
-			for _, a := range q.Atoms {
-				t, ok := db.store.Table(a.Rel.Name)
-				if !ok {
-					cacheable = false
-					break
-				}
-				if !seen[t] {
-					seen[t] = true
-					tvs = append(tvs, qcache.TableVersion{Table: t, Version: t.Version()})
-				}
-			}
-		}
-	}
-
-	res := &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: db.optzr != nil, Fingerprint: tmpl.Fingerprint}}
+	unionAll := r.tmpl.Parsed.(*parsed).unionAll
+	res = &Result{Columns: pr.columns, Stats: pr.stats}
 	var rows []value.Row
-	var cacheSteps []core.StepStat
-	var regs []qcache.StepReg
-	var firstPlan *core.Plan
-	for i, q := range p.branches {
-		chk := db.checkSpanLocked(ctx, q)
+	for i := range pr.branches {
+		b := &pr.branches[i]
 		var branchRows []value.Row
-		switch {
-		case chk.Covered:
-			plan, err := core.NewPlan(q, chk)
-			if err != nil {
-				return nil, err
-			}
-			plan.CollectKeys = cacheable
-			var st *core.Stats
-			branchRows, st, err = db.runBounded(ctx, plan, chk, res)
-			if err != nil {
-				return nil, err
-			}
-			if cacheable {
-				if i == 0 {
-					firstPlan = plan
-				}
-				for si := range plan.Steps {
-					t, ok := db.store.Table(q.Atoms[plan.Steps[si].Atom].Rel.Name)
-					if !ok {
-						cacheable = false
-						break
-					}
-					var keys []string
-					if st.StepKeys != nil {
-						keys = st.StepKeys[si]
-					}
-					regs = append(regs, qcache.StepReg{Table: t, Step: &plan.Steps[si], Keys: keys, StatIdx: len(cacheSteps) + si})
-				}
-				cacheSteps = append(cacheSteps, st.Steps...)
-			}
-		case allowFallback:
-			cacheable = false
-			var err error
-			branchRows, err = db.runPartial(ctx, q, chk, res)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("beas: query is not covered by the access schema: %s", chk.Reason)
+		if b.plan != nil {
+			branchRows, err = db.runBounded(ctx, r, b, &res.Stats)
+		} else {
+			branchRows, err = db.runPartial(ctx, b, &res.Stats)
 		}
-		if i > 0 && !p.unionAll[i] {
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && !unionAll[i] {
 			rows = exec.Dedup(append(rows, branchRows...))
 		} else {
 			rows = append(rows, branchRows...)
 		}
 	}
 	res.Rows = rows
-	if cacheable {
-		db.qc.Store(&qcache.StoreRequest{
-			Key: tmpl.ResultKey,
-			Result: &qcache.CachedResult{
-				Columns:         res.Columns,
-				Rows:            rows,
-				Bound:           res.Stats.Bound,
-				ConstraintsUsed: res.Stats.ConstraintsUsed,
-				TuplesFetched:   res.Stats.TuplesFetched,
-				Steps:           cacheSteps,
-				Plan:            res.Stats.Plan,
-				Optimized:       res.Stats.Optimized,
-			},
-			Branches:    len(p.branches),
-			Query:       p.branches[0],
-			Plan:        firstPlan,
-			Steps:       regs,
-			Tables:      tvs,
-			OptimizerOn: db.optzr != nil,
-		})
+	if r.tvs != nil {
+		db.storeLocked(r, res.Columns, rows, &res.Stats)
 	}
-	res.Stats.Duration = time.Since(start)
+	res.Stats.Duration = time.Since(r.start)
 	if res.Stats.Mode == ModeBounded && res.Stats.TuplesFetched == 0 && res.Stats.Bound == 0 {
 		res.Stats.Mode = ModeEmpty
 	}
@@ -422,7 +351,8 @@ func (db *DB) queryEval(ctx context.Context, sql string, allowFallback bool, fpO
 // data-derived — rows, order, bound, fetch statistics — is the stored
 // (patch-maintained) answer; Duration is this serve and CacheHit marks
 // the result. Callers hold db.mu (read suffices).
-func (db *DB) serveCachedLocked(cr *qcache.CachedResult, start time.Time) *Result {
+func (db *DB) serveCachedLocked(r *run) *Result {
+	cr := &r.cached
 	res := &Result{Columns: cr.Columns, Rows: cr.Rows, Stats: Stats{
 		Mode:            ModeBounded,
 		Covered:         true,
@@ -432,69 +362,62 @@ func (db *DB) serveCachedLocked(cr *qcache.CachedResult, start time.Time) *Resul
 		TuplesFetched:   cr.TuplesFetched,
 		Plan:            cr.Plan,
 		CacheHit:        true,
+		Fingerprint:     r.tmpl.Fingerprint,
 	}}
 	for _, s := range cr.Steps {
 		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
 	}
-	res.Stats.Duration = time.Since(start)
+	res.Stats.Duration = time.Since(r.start)
 	if res.Stats.TuplesFetched == 0 && res.Stats.Bound == 0 {
 		res.Stats.Mode = ModeEmpty
 	}
 	return res
 }
 
-// runBounded executes a bounded plan — across db.par workers when
-// parallelism is on — and folds its statistics into res. The raw
-// executor stats are also returned for result-cache registration.
-func (db *DB) runBounded(ctx context.Context, plan *core.Plan, chk *core.CheckResult, res *Result) ([]value.Row, *core.Stats, error) {
-	db.vecPlanLocked(plan)
+// runBounded executes one covered branch — across db.par workers when
+// parallelism is on — and folds its execution statistics into st.
+func (db *DB) runBounded(ctx context.Context, r *run, b *branch, st *Stats) ([]value.Row, error) {
+	plan := r.plan(b)
 	ectx, esp := obs.StartSpan(ctx, "execute")
-	rows, st, err := core.RunParallelContext(ectx, plan, db.par)
-	esp.Set("mode", "bounded").Set("fetched", st.Fetched).Set("rows", st.RowsOut)
-	esp.End()
-	if err != nil {
-		return nil, nil, err
+	rows, cst, err := core.RunParallelContext(ectx, plan, db.par)
+	if esp != nil {
+		esp.Set("mode", "bounded").Set("fetched", cst.Fetched).Set("rows", cst.RowsOut)
+		esp.End()
 	}
-	res.Stats.Bound = satAdd(res.Stats.Bound, chk.TotalBound)
-	res.Stats.ConstraintsUsed += chk.ConstraintsUsed
-	res.Stats.TuplesFetched += st.Fetched
-	for _, s := range st.Steps {
-		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
-	}
-	res.Stats.Plan += plan.Describe()
-	return rows, st, nil
-}
-
-// runPartial executes a partially bounded plan and folds statistics.
-func (db *DB) runPartial(ctx context.Context, q *analyze.Query, chk *core.CheckResult, res *Result) ([]value.Row, error) {
-	pp, err := core.NewPartialPlan(q, chk)
 	if err != nil {
 		return nil, err
 	}
+	foldBounded(st, cst)
+	if r.tvs != nil {
+		r.ran = append(r.ran, ranBranch{b: b, plan: plan, st: cst})
+	}
+	return rows, nil
+}
+
+// foldBounded adds a bounded branch's executor statistics to st.
+func foldBounded(st *Stats, cst *core.Stats) {
+	st.TuplesFetched += cst.Fetched
+	for _, s := range cst.Steps {
+		st.FetchSteps = append(st.FetchSteps, StepStat(s))
+	}
+}
+
+// runPartial executes one partially bounded branch and folds statistics.
+func (db *DB) runPartial(ctx context.Context, b *branch, st *Stats) ([]value.Row, error) {
 	ectx, esp := obs.StartSpan(ctx, "execute")
-	rows, subStats, engStats, err := core.RunPartialContext(ectx, pp, q, db.fallback, db.par)
-	if subStats != nil && engStats != nil {
+	rows, subStats, engStats, err := core.RunPartialContext(ectx, b.partial, b.q, db.fallback, db.par)
+	if esp != nil && subStats != nil && engStats != nil {
 		esp.Set("mode", "partial").Set("fetched", subStats.Fetched).Set("scanned", engStats.Scanned)
 	}
 	esp.End()
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Covered = false
-	if pp.Sub != nil {
-		res.Stats.Mode = ModePartial
-	} else {
-		res.Stats.Mode = ModeConventional
-	}
-	res.Stats.TuplesFetched += subStats.Fetched
-	res.Stats.TuplesScanned += engStats.Scanned
-	for _, s := range subStats.Steps {
-		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
-	}
+	foldBounded(st, subStats)
+	st.TuplesScanned += engStats.Scanned
 	for _, o := range engStats.Ops {
-		res.Stats.Ops = append(res.Stats.Ops, OpStat(o))
+		st.Ops = append(st.Ops, OpStat(o))
 	}
-	res.Stats.Plan += pp.Describe(q)
 	return rows, nil
 }
 
@@ -559,60 +482,42 @@ func (db *DB) QueryApprox(sql string, budget int64) (*Result, float64, error) {
 // under a trace (parse / check / optimize spans) and honors the
 // cost-based optimizer's step ordering.
 func (db *DB) QueryApproxContext(ctx context.Context, sql string, budget int64) (*Result, float64, error) {
-	dig := db.digests.Load()
-	if dig == nil {
-		return db.queryApprox(ctx, sql, budget, nil)
-	}
-	start := time.Now()
-	var fp string
-	res, cov, err := db.queryApprox(ctx, sql, budget, &fp)
-	observeQueryDigest(dig, fp, sql, res, err, time.Since(start))
-	return res, cov, err
+	return db.queryApprox(ctx, &Stmt{db: db, sql: sql}, budget)
 }
 
-func (db *DB) queryApprox(ctx context.Context, sql string, budget int64, fpOut *string) (*Result, float64, error) {
+func (db *DB) queryApprox(ctx context.Context, st *Stmt, budget int64) (res *Result, coverage float64, err error) {
+	var fp string
+	defer db.observeDigest(&fp, st.sql, &res, &err, time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	ctx, finish := db.startTrace(ctx, "approx", sql)
+	ctx, finish := db.startTrace(ctx, "approx", st.sql)
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	tmpl, err := db.parseSpanLocked(ctx, sql)
+	tmpl, pr, err := db.resolveLocked(ctx, st)
 	if err != nil {
 		return nil, 0, err
 	}
-	if fpOut != nil {
-		*fpOut = tmpl.Fingerprint
+	fp = tmpl.Fingerprint
+	if !pr.info.Covered {
+		return nil, 0, fmt.Errorf("beas: approximation requires a covered query: %s", pr.info.Reason)
 	}
-	p := tmpl.Parsed.(*parsed)
+	unionAll := tmpl.Parsed.(*parsed).unionAll
 	start := time.Now()
-	res := &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: db.optzr != nil, Fingerprint: tmpl.Fingerprint}}
-	coverage := 1.0
+	res = &Result{Columns: pr.columns, Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: pr.stats.Optimized, Bound: pr.stats.Bound, Fingerprint: tmpl.Fingerprint}}
+	coverage = 1.0
 	remaining := budget
 	var rows []value.Row
-	for i, q := range p.branches {
-		chk := db.checkSpanLocked(ctx, q)
-		if !chk.Covered {
-			return nil, 0, fmt.Errorf("beas: approximation requires a covered query: %s", chk.Reason)
-		}
-		plan, err := core.NewPlan(q, chk)
-		if err != nil {
-			return nil, 0, err
-		}
-		budgetHere := remaining
-		if budgetHere <= 0 {
-			budgetHere = 1
-		}
-		ar, err := approx.RunContext(ctx, plan, budgetHere)
+	for i := range pr.branches {
+		ar, err := approx.RunContext(ctx, pr.branches[i].plan, max(remaining, 1))
 		if err != nil {
 			return nil, 0, err
 		}
 		remaining -= ar.Fetched
 		coverage *= ar.Coverage
 		res.Stats.TuplesFetched += ar.Fetched
-		res.Stats.Bound = satAdd(res.Stats.Bound, chk.TotalBound)
-		if i > 0 && !p.unionAll[i] {
+		if i > 0 && !unionAll[i] {
 			rows = exec.Dedup(append(rows, ar.Rows...))
 		} else {
 			rows = append(rows, ar.Rows...)

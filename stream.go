@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bounded-eval/beas/internal/analyze"
 	"github.com/bounded-eval/beas/internal/core"
 	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/obs"
-	"github.com/bounded-eval/beas/internal/qcache"
-	"github.com/bounded-eval/beas/internal/storage"
 	"github.com/bounded-eval/beas/internal/value"
 )
 
@@ -57,21 +54,9 @@ type RowIter struct {
 	// the complete bounded answer anyway (it is at most the deduced
 	// bound M rows), so Close admits it exactly like Query does; an
 	// abandoned or failed cursor has a partial answer and never stores.
-	cacheOK   bool
-	cacheKey  string
-	cacheTvs  []qcache.TableVersion
-	cacheBr   []cachedBranch
-	branches  int
+	run       run
 	cacheRows []value.Row
 	drained   bool
-}
-
-// cachedBranch pins one covered branch's plan, analysis and executor
-// statistics for result-cache registration at Close.
-type cachedBranch struct {
-	plan *core.Plan
-	q    *analyze.Query
-	st   *core.Stats
 }
 
 // QueryIter evaluates sql exactly like Query — bounded when covered,
@@ -90,10 +75,14 @@ func (db *DB) QueryIter(sql string) (*RowIter, error) {
 // release the catalog read lock); its statistics then reflect only the
 // work performed before the cancellation.
 func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error) {
+	return db.queryIter(ctx, &Stmt{db: db, sql: sql})
+}
+
+func (db *DB) queryIter(ctx context.Context, st *Stmt) (*RowIter, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ctx, finishTrace := db.startTrace(ctx, "query", sql)
+	ctx, finishTrace := db.startTrace(ctx, "query", st.sql)
 	db.mu.RLock()
 	ok := false
 	defer func() {
@@ -102,82 +91,31 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 			finishTrace()
 		}
 	}()
-	tmpl, err := db.parseSpanLocked(ctx, sql)
-	if err != nil {
+	ri := &RowIter{db: db, finish: finishTrace, digests: db.digests.Load(), sql: st.sql}
+	r := &ri.run
+	if err := db.beginLocked(ctx, st, r); err != nil {
 		return nil, err
 	}
-	p := tmpl.Parsed.(*parsed)
+	pr := r.pr
+	ri.columns, ri.start = pr.columns, r.start
+	ri.res = &Result{Columns: pr.columns, Stats: pr.stats}
 
-	ri := &RowIter{
-		db:      db,
-		columns: p.branches[0].OutputNames(),
-		start:   time.Now(),
-		res:     &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: db.optzr != nil, Fingerprint: tmpl.Fingerprint}},
-		digests: db.digests.Load(),
-		sql:     sql,
-	}
-	ri.finish = finishTrace
-
-	// Semantic result cache: a fresh materialized answer streams from the
+	// Result-cache hit: the fresh materialized answer streams from the
 	// snapshot instead of re-executing. On a miss the cursor accumulates
 	// the bounded answer as it drains and stores it at Close — but only
 	// when the consumer read the stream to exhaustion without error.
-	if db.qc.ResultsEnabled() {
-		_, sp := obs.StartSpan(ctx, "cache")
-		if cr, hit := db.qc.GetResult(tmpl.ResultKey); hit {
-			sp.Set("hit", true)
-			sp.End()
-			ri.res.Stats.Bound = cr.Bound
-			ri.res.Stats.ConstraintsUsed = cr.ConstraintsUsed
-			ri.res.Stats.Plan = cr.Plan
-			ri.res.Stats.CacheHit = true
-			tf := cr.TuplesFetched
-			steps := cr.Steps
-			ri.final = append(ri.final, func() {
-				ri.res.Stats.TuplesFetched += tf
-				for _, s := range steps {
-					ri.res.Stats.FetchSteps = append(ri.res.Stats.FetchSteps, StepStat(s))
-				}
-			})
-			ri.it = iter.FromRows(cr.Rows, nil)
-			ok = true
-			return ri, nil
-		}
-		sp.Set("hit", false)
-		sp.End()
+	if r.hit {
+		ri.res = db.serveCachedLocked(r)
+		ri.it = iter.FromRows(r.cached.Rows, nil)
+		ok = true
+		return ri, nil
 	}
 
-	// Storing needs every base-table version from *before* execution:
-	// Store re-checks them so a mutation interleaved with the drain can
-	// never be double-counted (once in the answer, once as a patch).
-	cacheable := db.qc.ResultsEnabled()
-	var tvs []qcache.TableVersion
-	if cacheable {
-		seen := make(map[*storage.Table]bool)
-		for _, q := range p.branches {
-			for _, a := range q.Atoms {
-				t, ok := db.store.Table(a.Rel.Name)
-				if !ok {
-					cacheable = false
-					break
-				}
-				if !seen[t] {
-					seen[t] = true
-					tvs = append(tvs, qcache.TableVersion{Table: t, Version: t.Version()})
-				}
-			}
-		}
-	}
-
-	parts := make([]iter.Iterator, 0, len(p.branches))
-	for _, q := range p.branches {
-		chk := db.checkSpanLocked(ctx, q)
-		if chk.Covered {
-			plan, err := core.NewPlan(q, chk)
-			if err != nil {
-				return nil, err
-			}
-			plan.CollectKeys = cacheable
+	parts := make([]iter.Iterator, 0, len(pr.branches))
+	for i := range pr.branches {
+		b := &pr.branches[i]
+		if b.plan != nil {
+			plan := r.plan(b)
 			var it iter.Iterator
 			var cst *core.Stats
 			if db.par > 1 {
@@ -192,47 +130,23 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 				}
 				it, cst = iter.FromRows(rows, nil), pst
 			} else {
-				db.vecPlanLocked(plan)
 				it, cst = core.StreamContext(ctx, plan)
 			}
-			ri.res.Stats.Bound = satAdd(ri.res.Stats.Bound, chk.TotalBound)
-			ri.res.Stats.ConstraintsUsed += chk.ConstraintsUsed
-			ri.res.Stats.Plan += plan.Describe()
-			ri.final = append(ri.final, func() {
-				ri.res.Stats.TuplesFetched += cst.Fetched
-				for _, s := range cst.Steps {
-					ri.res.Stats.FetchSteps = append(ri.res.Stats.FetchSteps, StepStat(s))
-				}
-			})
-			if cacheable {
-				ri.cacheBr = append(ri.cacheBr, cachedBranch{plan: plan, q: q, st: cst})
+			ri.final = append(ri.final, func() { foldBounded(&ri.res.Stats, cst) })
+			if r.tvs != nil {
+				r.ran = append(r.ran, ranBranch{b: b, plan: plan, st: cst})
 			}
 			parts = append(parts, it)
 			continue
 		}
-		cacheable = false
 		// Not covered: partially bounded plan. The bounded sub-query runs
 		// eagerly here (its size is bounded by the access schema); the
 		// conventional join over it streams.
-		pp, err := core.NewPartialPlan(q, chk)
+		it, subStats, engStats, err := core.StreamPartialContext(ctx, b.partial, b.q, db.fallback, db.par)
 		if err != nil {
 			return nil, err
 		}
-		it, subStats, engStats, err := core.StreamPartialContext(ctx, pp, q, db.fallback, db.par)
-		if err != nil {
-			return nil, err
-		}
-		ri.res.Stats.Covered = false
-		if pp.Sub != nil {
-			ri.res.Stats.Mode = ModePartial
-		} else {
-			ri.res.Stats.Mode = ModeConventional
-		}
-		ri.res.Stats.TuplesFetched += subStats.Fetched
-		for _, s := range subStats.Steps {
-			ri.res.Stats.FetchSteps = append(ri.res.Stats.FetchSteps, StepStat(s))
-		}
-		ri.res.Stats.Plan += pp.Describe(q)
+		foldBounded(&ri.res.Stats, subStats)
 		ri.final = append(ri.final, func() {
 			ri.res.Stats.TuplesScanned += engStats.Scanned
 			for _, o := range engStats.Ops {
@@ -246,16 +160,12 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 	// shares one duplicate-elimination set; branches after it append
 	// freely. This matches Query's fold of exec.Dedup over the branches.
 	dedupThrough := -1
-	for i := 1; i < len(p.branches); i++ {
-		if !p.unionAll[i] {
+	for i, all := range r.tmpl.Parsed.(*parsed).unionAll {
+		if i > 0 && !all {
 			dedupThrough = i
 		}
 	}
 	ri.it = &unionIter{parts: parts, dedupThrough: dedupThrough}
-	ri.cacheOK = cacheable
-	ri.cacheKey = tmpl.ResultKey
-	ri.cacheTvs = tvs
-	ri.branches = len(p.branches)
 	if tr, parent := obs.FromContext(ctx); tr != nil {
 		// The stream span measures time spent pulling result batches
 		// through the cursor — including the upstream pipeline; the fetch
@@ -300,7 +210,7 @@ func (ri *RowIter) NextBatch() ([]Row, error) {
 		return nil, nil
 	}
 	ri.rowsOut += int64(len(ri.batch.Rows))
-	if ri.cacheOK {
+	if ri.run.tvs != nil {
 		// Batch storage is reused between pulls; the cache keeps its own
 		// copy of each row.
 		for _, r := range ri.batch.Rows {
@@ -347,8 +257,9 @@ func (ri *RowIter) Close() error {
 	if st.Mode == ModeBounded && st.TuplesFetched == 0 && st.Bound == 0 {
 		st.Mode = ModeEmpty
 	}
-	if ri.cacheOK && ri.drained && err == nil && ri.err == nil {
-		ri.storeDrainedLocked()
+	if ri.run.tvs != nil && ri.drained && err == nil && ri.err == nil {
+		// Still under db.mu (read), execution statistics already folded.
+		ri.db.storeLocked(&ri.run, ri.columns, ri.cacheRows, st)
 	}
 	ri.db.mu.RUnlock()
 	if ri.finish != nil {
@@ -363,54 +274,6 @@ func (ri *RowIter) Close() error {
 		ri.digests.Observe(digestObservation(st.Fingerprint, ri.sql, st, ri.rowsOut, ri.err, st.Duration))
 	}
 	return err
-}
-
-// storeDrainedLocked admits the fully drained answer into the result
-// cache, registering the same per-step probed-key sets, base-table
-// versions and bound guards Query's store path does. Called under
-// db.mu (read) from Close, with execution statistics already folded.
-func (ri *RowIter) storeDrainedLocked() {
-	var cacheSteps []core.StepStat
-	var regs []qcache.StepReg
-	for _, cb := range ri.cacheBr {
-		for si := range cb.plan.Steps {
-			t, ok := ri.db.store.Table(cb.q.Atoms[cb.plan.Steps[si].Atom].Rel.Name)
-			if !ok {
-				return
-			}
-			var keys []string
-			if cb.st.StepKeys != nil {
-				keys = cb.st.StepKeys[si]
-			}
-			regs = append(regs, qcache.StepReg{Table: t, Step: &cb.plan.Steps[si], Keys: keys, StatIdx: len(cacheSteps) + si})
-		}
-		cacheSteps = append(cacheSteps, cb.st.Steps...)
-	}
-	st := &ri.res.Stats
-	var firstPlan *core.Plan
-	var q0 *analyze.Query
-	if len(ri.cacheBr) > 0 {
-		firstPlan, q0 = ri.cacheBr[0].plan, ri.cacheBr[0].q
-	}
-	ri.db.qc.Store(&qcache.StoreRequest{
-		Key: ri.cacheKey,
-		Result: &qcache.CachedResult{
-			Columns:         ri.res.Columns,
-			Rows:            ri.cacheRows,
-			Bound:           st.Bound,
-			ConstraintsUsed: st.ConstraintsUsed,
-			TuplesFetched:   st.TuplesFetched,
-			Steps:           cacheSteps,
-			Plan:            st.Plan,
-			Optimized:       st.Optimized,
-		},
-		Branches:    ri.branches,
-		Query:       q0,
-		Plan:        firstPlan,
-		Steps:       regs,
-		Tables:      ri.cacheTvs,
-		OptimizerOn: ri.db.optzr != nil,
-	})
 }
 
 // Stats returns the execution statistics. Counters accrue while the

@@ -4,8 +4,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/bounded-eval/beas/internal/analyze"
-	"github.com/bounded-eval/beas/internal/core"
 	"github.com/bounded-eval/beas/internal/obs"
 )
 
@@ -59,23 +57,6 @@ func (db *DB) startTrace(ctx context.Context, name, sql string) (context.Context
 	}
 	tr := t.StartTrace(name, obs.Attr{Key: "sql", Val: sql})
 	return obs.With(ctx, tr, tr.Root()), func() { t.Finish(tr) }
-}
-
-// checkSpanLocked runs the BE checker and (when on) the cost-based
-// optimizer over one UNION branch under "check" and "optimize" spans.
-// Callers hold db.mu (read suffices).
-func (db *DB) checkSpanLocked(ctx context.Context, q *analyze.Query) *core.CheckResult {
-	_, csp := obs.StartSpan(ctx, "check")
-	chk := core.Check(q, db.access)
-	csp.Set("covered", chk.Covered).Set("bound", chk.TotalBound)
-	csp.End()
-	if db.optzr == nil {
-		return chk
-	}
-	_, osp := obs.StartSpan(ctx, "optimize")
-	chk = db.rewriteLocked(q, chk)
-	osp.End()
-	return chk
 }
 
 // SetMetrics wires the database's internal instrumentation into reg:
