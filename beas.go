@@ -65,19 +65,13 @@ type DB struct {
 	// default): plans then run the checker's own greedy derivation.
 	// Guarded by db.mu.
 	optzr *opt.Optimizer
-	// par is the intra-query parallelism: with par > 1 bounded plans fan
-	// their fetch steps across a worker pool and the fallback engine's
-	// hash joins build and probe shard-parallel. 0 or 1 means serial
-	// (the default); per-query results are identical either way.
-	// Guarded by db.mu.
-	par int
 	// vecOff disables the columnar (vectorized) executors; the zero value
 	// means vectorized execution is ON. Guarded by db.mu.
 	vecOff bool
 	// batch is the columnar batch row capacity; 0 means the default
 	// (iter.BatchSize). Guarded by db.mu.
 	batch int
-	// execEpoch counts changes of the four settings above; prepared state
+	// execEpoch counts changes of the three settings above; prepared state
 	// (prepare.go) embeds them and is rebuilt when it moved. Guarded by
 	// db.mu.
 	execEpoch uint64
@@ -177,19 +171,14 @@ func (db *DB) OptimizerEnabled() bool {
 	return db.optzr != nil
 }
 
-// execConfigChangedLocked makes a changed optimizer, vectorization, batch
-// size or parallelism take effect: plans and cached answers made under
-// the old settings are retired (template analyses stay valid) and the
-// fallback engine is rebuilt. Callers hold db.mu (write).
+// execConfigChangedLocked makes a changed optimizer, vectorization or
+// batch size take effect: plans and cached answers made under the old
+// settings are retired (template analyses stay valid) and the fallback
+// engine is rebuilt. Callers hold db.mu (write).
 func (db *DB) execConfigChangedLocked() {
 	db.execEpoch++
 	db.qc.FlushResults()
-	par := db.par
-	if par < 1 {
-		par = 1
-	}
-	db.fallback = engine.NewParallel(db.store, engine.ProfilePostgres, par)
-	db.fallback.WithVectorized(!db.vecOff).WithBatchSize(db.batch)
+	db.fallback = engine.New(db.store, engine.ProfilePostgres).WithVectorized(!db.vecOff).WithBatchSize(db.batch)
 	if db.optzr != nil {
 		db.fallback.WithStats(db.statsCat)
 	}
@@ -301,33 +290,12 @@ func (db *DB) ResultCacheStats() ResultCacheStats {
 	return ResultCacheStats(s)
 }
 
-// SetParallelism sets the intra-query parallelism for subsequent
-// queries: with n > 1 a single bounded plan fans its fetch steps across
-// up to n worker goroutines (probing the partitioned constraint indices
-// shard-parallel and merging per-worker aggregation states
-// deterministically), and the conventional fallback engine builds and
-// probes its hash joins shard-parallel. n ≤ 1 restores the serial
-// executor. Result bags are bit-identical across settings; in-flight
-// queries keep the parallelism they started with.
-func (db *DB) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.par = n
-	db.execConfigChangedLocked()
-}
-
-// Parallelism reports the current intra-query parallelism (1 = serial).
-func (db *DB) Parallelism() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.par < 1 {
-		return 1
-	}
-	return db.par
-}
+// SetParallelism does nothing: a query runs on one goroutine, and
+// concurrency comes from running many queries at once.
+//
+// Deprecated: intra-query parallelism was removed; a bounded plan fetches
+// too few tuples to spread across cores.
+func (db *DB) SetParallelism(int) {}
 
 // TableDataStats is one table's row of the statistics-catalog dump.
 type TableDataStats struct {

@@ -18,7 +18,6 @@ package beas
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -384,78 +383,6 @@ func BenchmarkKeyEncode(b *testing.B) {
 		if k := value.Key(row); len(k) == 0 {
 			b.Fatal("empty key")
 		}
-	}
-}
-
-// parallelFetchSQL is a covered aggregate with a large fetch fan-out:
-// 300 subscriber numbers × 31 dates make ~9300 fetch keys through ψ1,
-// and the wide IN lists are re-evaluated as filters on every fetched
-// tuple — exactly the per-row work a single core serialises and the
-// parallel executor spreads.
-func parallelFetchSQL() string {
-	pnums := make([]string, 0, 300)
-	for p := 1000; p < 1300; p++ {
-		pnums = append(pnums, fmt.Sprint(p))
-	}
-	dates := make([]string, 0, 31)
-	for d := 20160301; d <= 20160331; d++ {
-		dates = append(dates, fmt.Sprint(d))
-	}
-	return fmt.Sprintf(
-		"SELECT region, COUNT(*) AS n FROM call WHERE pnum IN (%s) AND date IN (%s) GROUP BY region ORDER BY n DESC, region",
-		strings.Join(pnums, ", "), strings.Join(dates, ", "))
-}
-
-// BenchmarkParallelFetch measures one bounded plan across the worker
-// pool: the serial executor against parallelism 4 on the same covered
-// TLC query at scale 5. With GOMAXPROCS ≥ 4 the parallel series should
-// run ≥ 2× faster; the result bags are bit-identical (see
-// TestParallelMatchesSerialOnTLC).
-func BenchmarkParallelFetch(b *testing.B) {
-	const scale = 5
-	sql := parallelFetchSQL()
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			db := tlcDB(b, scale)
-			db.SetParallelism(par)
-			defer db.SetParallelism(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := db.QueryBounded(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelJoin measures the shard-parallel hash join on an
-// uncovered call ⋈ package query (no constraint binds the join key, so
-// the fallback engine runs it): build and probe fan out across the
-// worker pool at parallelism 4 against the streaming serial operator.
-func BenchmarkParallelJoin(b *testing.B) {
-	const scale = 5
-	sql := "SELECT call.region, package.pid FROM call, package WHERE call.pnum = package.pnum"
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			db := tlcDB(b, scale)
-			db.SetParallelism(par)
-			defer db.SetParallelism(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := db.Query(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
 	}
 }
 

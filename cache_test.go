@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/bounded-eval/beas/internal/schema"
@@ -95,18 +96,14 @@ func randomMutation(rng *rand.Rand) (string, func(*DB) error) {
 // uncached twin and twice on the cached database — the second pass
 // serves stored entries — and each round re-runs the round's statements
 // after the mutations, so patched and invalidated entries are compared
-// against fresh execution too. Configurations sweep parallel execution
-// and the cost-based optimizer (whose entries use coarse invalidation).
+// against fresh execution too. One configuration runs the cost-based
+// optimizer (whose entries use coarse invalidation).
 func TestResultCacheEquivalenceRandomized(t *testing.T) {
 	for d := 0; d < 4; d++ {
 		seed := int64(9200 + 17*d)
 		cached := randomDB(t, rand.New(rand.NewSource(seed)))
 		twin := randomDB(t, rand.New(rand.NewSource(seed)))
 		cached.SetResultCache(true)
-		if d%2 == 1 {
-			cached.SetParallelism(4)
-			twin.SetParallelism(4)
-		}
 		if d == 3 {
 			cached.SetOptimizer(true)
 			twin.SetOptimizer(true)
@@ -439,4 +436,86 @@ func TestPlanCacheBoundedGrowth(t *testing.T) {
 	if got := db.ResultCacheStats().TemplateHits; got != base+1 {
 		t.Fatalf("re-checking the most recent statement missed the template tier (hits %d -> %d)", base, got)
 	}
+}
+
+// TestResultCacheRowOwnership pins the row-ownership rule the cursor and
+// the result cache share: emitted rows are immutable, so a drained cursor
+// stores the very rows it handed out, a later hit serves them equal to an
+// uncached twin, and a patching insert rewrites the entry without
+// touching any row a caller already holds.
+func TestResultCacheRowOwnership(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT r.a, r.b, r.c FROM r WHERE r.a = 2",      // patched by a bag append
+		"SELECT COUNT(*), SUM(r.d) FROM r WHERE r.a = 2", // patched by copy-on-write of the aggregate row
+	} {
+		seed := int64(515)
+		cached := randomDB(t, rand.New(rand.NewSource(seed)))
+		twin := randomDB(t, rand.New(rand.NewSource(seed)))
+		cached.SetResultCache(true)
+
+		ri, err := cached.QueryIter(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed []Row
+		for {
+			batch, err := ri.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			streamed = append(streamed, batch...)
+		}
+		if st := cached.ResultCacheStats(); st.Stores != 1 {
+			t.Fatalf("%s: drained cursor stored %d answers, want 1", sql, st.Stores)
+		}
+		hit, err := cached.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Stats.CacheHit {
+			t.Fatalf("%s: Query after the drained cursor missed the cache", sql)
+		}
+		want, err := twin.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualCached(t, sql, hit, want)
+		mustEqualCached(t, sql, &Result{Columns: hit.Columns, Rows: streamed, Stats: want.Stats}, want)
+
+		before := orderedKeys(hit.Rows)
+		for _, db := range []*DB{cached, twin} {
+			db.MustInsert("r", 2, 1, "c9", 7, 0.5, int64(1)<<61, true)
+		}
+		if st := cached.ResultCacheStats(); st.Patches != 1 {
+			t.Fatalf("%s: insert on a probed key patched %d entries, want 1", sql, st.Patches)
+		}
+		if got := orderedKeys(hit.Rows); !slices.Equal(got, before) {
+			t.Fatalf("%s: patch rewrote rows a caller holds:\nbefore %v\nafter  %v", sql, before, got)
+		}
+		if got := orderedKeys(streamed); !slices.Equal(got, before) {
+			t.Fatalf("%s: patch rewrote rows the cursor handed out: %v", sql, got)
+		}
+		after, err := cached.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = twin.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualCached(t, sql, after, want)
+	}
+}
+
+// orderedKeys renders rows position by position, so comparisons catch
+// ordering differences that a sorted bag would hide.
+func orderedKeys(rows []Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = value.Key(r)
+	}
+	return out
 }

@@ -44,7 +44,6 @@ import (
 	_ "net/http/pprof" // registered on the DefaultServeMux, served only via -debug-addr
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -64,7 +63,6 @@ func main() {
 	policy := flag.String("policy", "reject", "over-budget policy: reject, queue or approx")
 	approxBudget := flag.Int64("approx-budget", 0, "fetch budget for approx downgrades (default: -budget)")
 	workers := flag.Int("workers", 0, "max concurrent query executions (default: GOMAXPROCS)")
-	parallelism := flag.Int("parallelism", 1, "intra-query parallelism: worker goroutines per query for bounded fetch steps and hash joins (1 = serial, 0 = GOMAXPROCS)")
 	optimizer := flag.Bool("optimizer", false, "enable the cost-based plan optimizer (statistics-driven fetch-step ordering and join planning; results are identical, admission bounds unchanged)")
 	batchSize := flag.Int("batch-size", 0, "columnar batch row capacity for vectorized execution (0 = default 256)")
 	noVec := flag.Bool("novec", false, "disable vectorized (columnar) execution; results are identical, only speed changes")
@@ -102,11 +100,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "beasd:", err)
 		os.Exit(1)
 	}
-	par := *parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	db.SetParallelism(par)
 	if *optimizer {
 		db.SetOptimizer(true)
 	}
@@ -205,8 +198,8 @@ func main() {
 		httpSrv.Shutdown(shutCtx)
 	}()
 
-	fmt.Printf("beasd: %d rows, %d constraints; budget=%s policy=%s parallelism=%d optimizer=%v; listening on %s\n",
-		db.TotalRows(), len(db.Constraints()), budgetStr(*budget), pol, par, db.OptimizerEnabled(), *addr)
+	fmt.Printf("beasd: %d rows, %d constraints; budget=%s policy=%s optimizer=%v; listening on %s\n",
+		db.TotalRows(), len(db.Constraints()), budgetStr(*budget), pol, db.OptimizerEnabled(), *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "beasd:", err)
 		os.Exit(1)

@@ -71,22 +71,3 @@ func digestObservation(fp, sql string, st *Stats, rows int64, err error, dur tim
 	}
 	return o
 }
-
-// observeDigest, deferred at the top of a materializing entry point,
-// folds the statement's terminal outcome into the workload digests once
-// it returns — off the catalog lock. fp is filled in as soon as analysis
-// succeeds, so later errors land on the right entry. With digests off
-// the cost is a clock read and one atomic load.
-func (db *DB) observeDigest(fp *string, sql string, res **Result, err *error, start time.Time) {
-	d := db.digests.Load()
-	if d == nil {
-		return
-	}
-	var st *Stats
-	var rows int64
-	if *res != nil {
-		st = &(*res).Stats
-		rows = int64(len((*res).Rows))
-	}
-	d.Observe(digestObservation(*fp, sql, st, rows, *err, time.Since(start)))
-}

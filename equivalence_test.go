@@ -26,7 +26,7 @@ import (
 // near-MaxInt64 magnitudes in big. The big values are powers of two (and
 // MaxInt64-1, which converts to 2^63 exactly), so float-promoted SUMs
 // stay exactly representable and bit-identical under any evaluation
-// order — serial, parallel or the oracle's.
+// order — the executors' or the oracle's.
 func randomDB(t *testing.T, rng *rand.Rand) *DB {
 	t.Helper()
 	db := NewDB()

@@ -28,7 +28,7 @@ const indexShards = 16
 //
 // The bucket table is partitioned into indexShards shards, each guarded
 // by its own RWMutex and keyed by a hash of the encoded X-key. Shards
-// make the index independently lockable (parallel bounded plans probe
+// make the index independently lockable (concurrent queries probe
 // different shards without contending) and independently buildable
 // (BuildIndex folds large tables shard-parallel). The key encoding is
 // untouched — FetchWeightedEncoded accepts exactly the value.Key bytes
@@ -277,8 +277,8 @@ func (ix *Index) FetchWeighted(key []value.Value) (rows []value.Row, counts []in
 // FetchWeightedEncoded is FetchWeighted for a key already passed through
 // value.Key. The bounded executor encodes each probe key once for its
 // memoisation table and reuses the encoding here instead of re-encoding.
-// Only the key's shard is read-locked, so concurrent probes — including
-// the workers of a single parallel bounded plan — proceed independently.
+// Only the key's shard is read-locked, so concurrent probes proceed
+// independently.
 func (ix *Index) FetchWeightedEncoded(key string) (rows []value.Row, counts []int64, accessed int) {
 	sh := &ix.shards[shardOf(key)]
 	sh.mu.RLock()

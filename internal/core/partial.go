@@ -9,7 +9,6 @@ import (
 	"github.com/bounded-eval/beas/internal/analyze"
 	"github.com/bounded-eval/beas/internal/engine"
 	"github.com/bounded-eval/beas/internal/iter"
-	"github.com/bounded-eval/beas/internal/value"
 )
 
 // PartialPlan is the BE Plan Optimizer's product for a non-covered query
@@ -78,50 +77,26 @@ func NewPartialPlan(q *analyze.Query, chk *CheckResult) (*PartialPlan, error) {
 	return pp, nil
 }
 
-// RunPartial executes the partially bounded plan: the bounded sub-plan
-// first (through the constraint indices), then the conventional engine
-// over the materialised source plus scans of the remaining atoms. The
-// returned stats separate fetched tuples (bounded part) from scanned
-// tuples (conventional part).
-func RunPartial(pp *PartialPlan, q *analyze.Query, eng *engine.Engine) ([]value.Row, *Stats, *engine.Stats, error) {
-	return RunPartialContext(context.Background(), pp, q, eng, 1)
-}
-
-// RunPartialContext is RunPartial under a context: cancellation halts
-// both the bounded fetch loop and the conventional scans and joins at
-// the next batch boundary. With par > 1 the bounded sub-plan runs on the
-// parallel executor (the engine's own parallelism is fixed at its
-// construction).
-func RunPartialContext(ctx context.Context, pp *PartialPlan, q *analyze.Query, eng *engine.Engine, par int) ([]value.Row, *Stats, *engine.Stats, error) {
-	it, st, engStats, err := StreamPartialContext(ctx, pp, q, eng, par)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out, _, err := iter.Collect(it)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return out, st, engStats, nil
-}
-
-// StreamPartial is RunPartial in streaming form: the bounded sub-plan is
-// still executed eagerly (its size is bounded by the access schema, so
-// materialising it is exactly the cost the checker promised), but the
-// conventional join over the materialised source and the remaining scans
-// streams. Engine statistics accrue while the iterator is consumed; the
-// bounded sub-plan's stats are final on return.
+// StreamPartial executes the partially bounded plan: the bounded
+// sub-plan first, eagerly, through the constraint indices (its size is
+// bounded by the access schema, so materialising it is exactly the cost
+// the checker promised), then the conventional engine streams the join of
+// the materialised source with scans of the remaining atoms. The returned
+// stats separate fetched tuples (bounded part, final on return) from
+// scanned tuples (conventional part, accruing while the iterator is
+// consumed).
 func StreamPartial(pp *PartialPlan, q *analyze.Query, eng *engine.Engine) (iter.Iterator, *Stats, *engine.Stats, error) {
-	return StreamPartialContext(context.Background(), pp, q, eng, 1)
+	return StreamPartialContext(context.Background(), pp, q, eng)
 }
 
 // StreamPartialContext is StreamPartial under a context: the eager
 // bounded sub-plan observes ctx while it materialises, and the streaming
 // conventional part observes it per batch.
-func StreamPartialContext(ctx context.Context, pp *PartialPlan, q *analyze.Query, eng *engine.Engine, par int) (iter.Iterator, *Stats, *engine.Stats, error) {
+func StreamPartialContext(ctx context.Context, pp *PartialPlan, q *analyze.Query, eng *engine.Engine) (iter.Iterator, *Stats, *engine.Stats, error) {
 	var sources []engine.Source
 	st := &Stats{}
 	if pp.Sub != nil {
-		rows, subStats, err := RunParallelContext(ctx, pp.Sub, par)
+		rows, subStats, err := RunContext(ctx, pp.Sub)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -4,9 +4,26 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/bounded-eval/beas/internal/analyze"
 	"github.com/bounded-eval/beas/internal/engine"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/value"
 )
+
+// drainPartial drains the partially bounded plan; the returned statistics
+// are final.
+func drainPartial(t *testing.T, pp *PartialPlan, q *analyze.Query, eng *engine.Engine) ([]value.Row, *Stats, *engine.Stats) {
+	t.Helper()
+	it, st, engStats, err := StreamPartial(pp, q, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := iter.Collect(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, st, engStats
+}
 
 // seedPartial builds a world where business is fetchable but call is not
 // (no constraint covers call.duration-style access by recnum).
@@ -63,10 +80,7 @@ func TestPartialPlanExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
-	rows, subStats, engStats, err := RunPartial(pp, q, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, subStats, engStats := drainPartial(t, pp, q, eng)
 	// banks 100 (2 calls) and 101 (1 call); shop 102 excluded.
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
@@ -108,10 +122,7 @@ func TestPartialPlanNoFetchableAtom(t *testing.T) {
 		t.Errorf("Describe = %q", pp.Describe(q))
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
-	rows, _, _, err := RunPartial(pp, q, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _, _ := drainPartial(t, pp, q, eng)
 	if len(rows) != 1 || rows[0][0].S != "east" {
 		t.Errorf("rows = %v", rows)
 	}
@@ -139,10 +150,7 @@ func TestPartialPreservesWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
-	rows, _, _, err := RunPartial(pp, q, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _, _ := drainPartial(t, pp, q, eng)
 	convRows, _, err := eng.Run(q)
 	if err != nil {
 		t.Fatal(err)

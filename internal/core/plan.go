@@ -44,10 +44,10 @@ type Plan struct {
 	Layout *analyze.Layout
 	// Check is the checker verdict the plan was generated from.
 	Check *CheckResult
-	// Vectorized selects the columnar serial executor: fetch steps append
+	// Vectorized selects the columnar executor: fetch steps append
 	// extended rows into column vectors (no per-output row allocation) and
 	// the relational tail runs its vectorized stages. Results are
-	// identical to the row executor. The parallel executor ignores it.
+	// identical to the row executor.
 	Vectorized bool
 	// BatchSize is the columnar batch row capacity (≤ 0 = default).
 	BatchSize int

@@ -121,6 +121,11 @@ func StreamContext(ctx context.Context, p *Plan) (iter.Iterator, *Stats) {
 		return nil
 	}
 
+	probeFor := func(i int) probe {
+		step := &p.Steps[i]
+		st.Steps[i] = statFor(q, step)
+		return probe{step: step, layout: layout, ss: &st.Steps[i], fetched: &st.Fetched, keys: stepKeysSink(i)}
+	}
 	var out iter.Iterator
 	if p.Vectorized {
 		batch := p.BatchSize
@@ -129,34 +134,13 @@ func StreamContext(ctx context.Context, p *Plan) (iter.Iterator, *Stats) {
 		}
 		cur := iter.ColFromRows([]value.Row{make(value.Row, layout.Len())}, nil, layout.Len(), batch)
 		for i := range p.Steps {
-			step := &p.Steps[i]
-			st.Steps[i] = statFor(q, step)
-			cur = &colStepOp{
-				ctx:     ctx,
-				step:    step,
-				in:      cur,
-				layout:  layout,
-				ss:      &st.Steps[i],
-				fetched: &st.Fetched,
-				keys:    stepKeysSink(i),
-				batch:   batch,
-			}
+			cur = &colStepOp{probe: probeFor(i), ctx: ctx, in: cur, batch: batch}
 		}
 		out = iter.Counted(execTail(ctx, exec.StreamCol(q, cur, layout), start), &st.RowsOut)
 	} else {
 		cur := iter.FromRows([]value.Row{make(value.Row, layout.Len())}, nil)
 		for i := range p.Steps {
-			step := &p.Steps[i]
-			st.Steps[i] = statFor(q, step)
-			cur = &stepOp{
-				ctx:     ctx,
-				step:    step,
-				in:      cur,
-				layout:  layout,
-				ss:      &st.Steps[i],
-				fetched: &st.Fetched,
-				keys:    stepKeysSink(i),
-			}
+			cur = &stepOp{probe: probeFor(i), ctx: ctx, in: cur}
 		}
 		out = iter.Counted(execTail(ctx, exec.Stream(q, cur, layout), start), &st.RowsOut)
 	}
@@ -197,15 +181,11 @@ func releaseMemo(m *map[string]wBucket) {
 	*m = nil
 }
 
-// stepOp executes one fetch step as a streaming operator: for every
-// weighted input row it enumerates the step's key candidates, probes the
-// constraint index (each distinct key exactly once, memoised — the
-// dedup-key semantics of the deduced bound), and emits the extended rows
-// that pass the step's filters.
-type stepOp struct {
-	ctx     context.Context
+// probe is the part of a fetch step both operators share: the step's
+// key enumeration and its memoised index probe, with the statistics and
+// the probed-key sink it feeds.
+type probe struct {
 	step    *PlanStep
-	in      iter.Iterator
 	layout  *analyze.Layout
 	ss      *StepStat
 	fetched *int64
@@ -214,20 +194,120 @@ type stepOp struct {
 	memo map[string]wBucket
 	key  []value.Value
 	kb   []byte
-	buf  iter.Batch
-	pos  int
-	done bool
+}
+
+func (p *probe) open() {
+	p.memo = acquireMemo()
+	p.key = make([]value.Value, len(p.step.Keys))
+}
+
+func (p *probe) close() { releaseMemo(&p.memo) }
+
+// bucket returns the index bucket of the encoded key enc, fetching it —
+// and counting the fetch — only the first time the step probes that key:
+// the dedup-key semantics of the deduced bound.
+func (p *probe) bucket(enc []byte) wBucket {
+	if b, seen := p.memo[string(enc)]; seen {
+		return b
+	}
+	ks := string(enc)
+	rows, counts, n := p.step.Index.FetchWeightedEncoded(ks)
+	b := wBucket{rows: rows, counts: counts}
+	p.memo[ks] = b
+	p.ss.DistinctKey++
+	p.ss.Fetched += int64(n)
+	*p.fetched += int64(n)
+	if p.keys != nil {
+		*p.keys = append(*p.keys, ks)
+	}
+	return b
+}
+
+// extend probes the index for every complete key of row — enumerated by
+// stepKeys — and calls emit with each extended row that passes the
+// step's filters and its weight. out is the row to extend into; it is
+// overwritten for every candidate, so emit must copy what it keeps.
+func (p *probe) extend(row, out value.Row, w int64, emit func(out value.Row, w int64)) error {
+	return stepKeys(p.step, row, p.key, &p.kb, 0, func(enc []byte) error {
+		bucket := p.bucket(enc)
+		for yi, y := range bucket.rows {
+			copy(out, row)
+			for i, slot := range p.step.XSlots {
+				out[slot] = p.key[i]
+			}
+			for i, yi2 := range p.step.YUsed {
+				out[p.step.YSlots[i]] = y[yi2]
+			}
+			keep := true
+			for _, f := range p.step.Filters {
+				ok, err := analyze.EvalBool(f.Expr, out, p.layout)
+				if err != nil {
+					return fmt.Errorf("core: evaluating %s: %w", f, err)
+				}
+				if !ok {
+					keep = false
+					break
+				}
+			}
+			if keep {
+				emit(out, w*bucket.counts[yi])
+			}
+		}
+		return nil
+	})
+}
+
+// stepKeys enumerates the complete fetch keys of step for row — the
+// cross product of constant candidates over slot reads, in nested
+// component order — and calls fn with each encoded key. The encoding
+// buffer is reused; fn must copy if it retains.
+func stepKeys(step *PlanStep, row value.Row, key []value.Value, kb *[]byte, comp int, fn func(enc []byte) error) error {
+	if comp < len(step.Keys) {
+		src := step.Keys[comp]
+		if src.Consts == nil {
+			key[comp] = row[src.Slot]
+			return stepKeys(step, row, key, kb, comp+1, fn)
+		}
+		for _, c := range src.Consts {
+			key[comp] = c
+			if err := stepKeys(step, row, key, kb, comp+1, fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	*kb = (*kb)[:0]
+	for _, kv := range key {
+		*kb = value.AppendKey(*kb, kv)
+	}
+	return fn(*kb)
+}
+
+// stepOp executes one fetch step as a streaming operator: for every
+// weighted input row it enumerates the step's key candidates, probes the
+// constraint index (each distinct key exactly once, memoised — the
+// dedup-key semantics of the deduced bound), and emits the extended rows
+// that pass the step's filters.
+type stepOp struct {
+	probe
+	ctx context.Context
+	in  iter.Iterator
+
+	buf    iter.Batch
+	pos    int
+	outRow value.Row // output row under construction, cloned per emission
+	done   bool
 }
 
 func (s *stepOp) Open() error {
-	s.memo = acquireMemo()
-	s.key = make([]value.Value, len(s.step.Keys))
+	s.open()
+	s.outRow = make(value.Row, s.layout.Len())
 	return s.in.Open()
 }
 
 func (s *stepOp) Close() error {
 	s.done = true // the memo is gone: a late Next reports exhaustion
-	releaseMemo(&s.memo)
+	s.close()
 	return s.in.Close()
 }
 
@@ -241,6 +321,9 @@ func (s *stepOp) Next(b *iter.Batch) (bool, error) {
 		return false, err
 	}
 	b.Reset()
+	// Every emitted row is a fresh allocation: batches hand rows out by
+	// reference, and emitted rows are never written again.
+	emit := func(out value.Row, w int64) { b.Append(out.Clone(), w) }
 	for b.Len() < iter.BatchSize && !s.done {
 		if s.pos >= s.buf.Len() {
 			u0 := time.Now()
@@ -258,7 +341,7 @@ func (s *stepOp) Next(b *iter.Batch) (bool, error) {
 		}
 		row, w := s.buf.Rows[s.pos], s.buf.Weight(s.pos)
 		s.pos++
-		if err := s.expand(b, row, w); err != nil {
+		if err := s.extend(row, s.outRow, w, emit); err != nil {
 			return false, err
 		}
 	}
@@ -266,31 +349,17 @@ func (s *stepOp) Next(b *iter.Batch) (bool, error) {
 	return b.Len() > 0, nil
 }
 
-// expand probes the index for every complete key of row — enumerated by
-// stepKeys (parallel.go), the single enumeration implementation shared
-// with the parallel executor, so serial and parallel plans can never
-// probe different key sets — fetching each distinct key exactly once
-// through the memo, and appends the extended rows that pass the step's
-// filters to b.
 // colStepOp is the columnar fetch step: it pulls batches of intermediate
-// rows as column vectors, probes the constraint index exactly like stepOp
-// (same stepKeys enumeration, same memo), and appends extended rows into
-// the output batch's columns through one reused scratch row — no
-// per-output row allocation. Emission order, filters and weights match
-// stepOp exactly.
+// rows as column vectors, probes the constraint index through the same
+// probe as stepOp, and appends extended rows into the output batch's
+// columns through one reused scratch row — no per-output row allocation.
+// Emission order, filters and weights match stepOp exactly.
 type colStepOp struct {
-	ctx     context.Context
-	step    *PlanStep
-	in      iter.ColIterator
-	layout  *analyze.Layout
-	ss      *StepStat
-	fetched *int64
-	keys    *[]string // when non-nil, collects each distinct probed key
-	batch   int
+	probe
+	ctx   context.Context
+	in    iter.ColIterator
+	batch int
 
-	memo    map[string]wBucket
-	key     []value.Value
-	kb      []byte
 	buf     *iter.ColBatch // pooled: acquired by Open, released by Close
 	pos     int            // next live-row index in buf
 	scratch value.Row      // current input row, read from buf; never mutated
@@ -299,8 +368,7 @@ type colStepOp struct {
 }
 
 func (s *colStepOp) Open() error {
-	s.memo = acquireMemo()
-	s.key = make([]value.Value, len(s.step.Keys))
+	s.open()
 	s.scratch = make(value.Row, s.layout.Len())
 	s.outRow = make(value.Row, s.layout.Len())
 	s.buf = iter.AcquireColBatch()
@@ -311,7 +379,7 @@ func (s *colStepOp) Open() error {
 func (s *colStepOp) Close() error {
 	s.done = true // buf and memo are gone: a late NextCols reports exhaustion
 	iter.ReleaseColBatch(&s.buf)
-	releaseMemo(&s.memo)
+	s.close()
 	return s.in.Close()
 }
 
@@ -323,6 +391,9 @@ func (s *colStepOp) NextCols(b *iter.ColBatch) (bool, error) {
 		return false, err
 	}
 	b.Reset(s.layout.Len())
+	// AppendRow copies the values into the columns, so an output costs a
+	// slot-copy instead of a row allocation.
+	emit := func(out value.Row, w int64) { b.AppendRow(out, w) }
 	for b.Rows() < s.batch && !s.done {
 		if s.pos >= s.buf.Len() {
 			u0 := time.Now()
@@ -342,100 +413,10 @@ func (s *colStepOp) NextCols(b *iter.ColBatch) (bool, error) {
 		s.buf.ReadRow(p, s.scratch)
 		w := s.buf.Weight(p)
 		s.pos++
-		if err := s.expand(b, s.scratch, w); err != nil {
+		if err := s.extend(s.scratch, s.outRow, w, emit); err != nil {
 			return false, err
 		}
 	}
 	s.ss.RowsOut += int64(b.Rows())
 	return b.Rows() > 0, nil
-}
-
-// expand is stepOp.expand over a columnar output batch: each extended row
-// builds in a reused scratch (the input row stays pristine — stepKeys
-// reads slot-sourced key components from it between emissions) and
-// AppendRow copies the values into the columns, so an output costs a
-// slot-copy instead of a row allocation.
-func (s *colStepOp) expand(b *iter.ColBatch, row value.Row, w int64) error {
-	return stepKeys(s.step, row, s.key, &s.kb, 0, func(enc []byte) error {
-		bucket, seen := s.memo[string(enc)]
-		if !seen {
-			ks := string(enc)
-			rws, cnts, n := s.step.Index.FetchWeightedEncoded(ks)
-			bucket = wBucket{rows: rws, counts: cnts}
-			s.memo[ks] = bucket
-			s.ss.DistinctKey++
-			s.ss.Fetched += int64(n)
-			*s.fetched += int64(n)
-			if s.keys != nil {
-				*s.keys = append(*s.keys, ks)
-			}
-		}
-		for yi, y := range bucket.rows {
-			out := s.outRow
-			copy(out, row)
-			for i, slot := range s.step.XSlots {
-				out[slot] = s.key[i]
-			}
-			for i, yi2 := range s.step.YUsed {
-				out[s.step.YSlots[i]] = y[yi2]
-			}
-			keep := true
-			for _, f := range s.step.Filters {
-				ok, err := analyze.EvalBool(f.Expr, out, s.layout)
-				if err != nil {
-					return fmt.Errorf("core: evaluating %s: %w", f, err)
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				b.AppendRow(out, w*bucket.counts[yi])
-			}
-		}
-		return nil
-	})
-}
-
-func (s *stepOp) expand(b *iter.Batch, row value.Row, w int64) error {
-	return stepKeys(s.step, row, s.key, &s.kb, 0, func(enc []byte) error {
-		bucket, seen := s.memo[string(enc)]
-		if !seen {
-			ks := string(enc)
-			rws, cnts, n := s.step.Index.FetchWeightedEncoded(ks)
-			bucket = wBucket{rows: rws, counts: cnts}
-			s.memo[ks] = bucket
-			s.ss.DistinctKey++
-			s.ss.Fetched += int64(n)
-			*s.fetched += int64(n)
-			if s.keys != nil {
-				*s.keys = append(*s.keys, ks)
-			}
-		}
-		for yi, y := range bucket.rows {
-			out := row.Clone()
-			for i, slot := range s.step.XSlots {
-				out[slot] = s.key[i]
-			}
-			for i, yi2 := range s.step.YUsed {
-				out[s.step.YSlots[i]] = y[yi2]
-			}
-			keep := true
-			for _, f := range s.step.Filters {
-				ok, err := analyze.EvalBool(f.Expr, out, s.layout)
-				if err != nil {
-					return fmt.Errorf("core: evaluating %s: %w", f, err)
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				b.Append(out, w*bucket.counts[yi])
-			}
-		}
-		return nil
-	})
 }

@@ -145,10 +145,6 @@ type opTracker struct {
 type Engine struct {
 	store *storage.Store
 	prof  Profile
-	// par is the intra-query parallelism: with par > 1 hash joins build
-	// and probe shard-parallel (see parallel.go). It is fixed at
-	// construction, so a shared engine is safe for concurrent queries.
-	par int
 	// stats, when non-nil, is the data-statistics catalog: scan and join
 	// selectivities come from live NDVs and histograms instead of the
 	// magic constants, hash joins build on the estimated-smaller side,
@@ -168,17 +164,7 @@ type Engine struct {
 
 // New creates an engine over store with the given profile.
 func New(store *storage.Store, prof Profile) *Engine {
-	return NewParallel(store, prof, 1)
-}
-
-// NewParallel creates an engine whose hash joins use up to par worker
-// goroutines. par ≤ 1 is the serial engine; results are identical
-// either way.
-func NewParallel(store *storage.Store, prof Profile, par int) *Engine {
-	if par < 1 {
-		par = 1
-	}
-	return &Engine{store: store, prof: prof, par: par, vec: true, batch: iter.BatchSize}
+	return &Engine{store: store, prof: prof, vec: true, batch: iter.BatchSize}
 }
 
 // WithVectorized enables or disables columnar execution and returns the
@@ -208,9 +194,6 @@ func (e *Engine) WithStats(cat *stats.Catalog) *Engine {
 
 // Profile returns the engine's profile.
 func (e *Engine) Profile() Profile { return e.prof }
-
-// Parallelism returns the engine's intra-query parallelism.
-func (e *Engine) Parallelism() int { return e.par }
 
 // Source is a pre-materialised relation standing in for one or more atoms
 // of the query — the partially bounded optimizer materialises covered
@@ -349,7 +332,7 @@ func (e *Engine) StreamContext(ctx context.Context, q *analyze.Query, sources []
 	}
 	cur := units[order[0]]
 	for _, idx := range order[1:] {
-		cur, err = e.join(ctx, q, cur, units[idx], applied, &trackers)
+		cur, err = e.join(q, cur, units[idx], applied, &trackers)
 		if err != nil {
 			return nil, st, err
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -15,10 +14,8 @@ import (
 // profile's algorithm, applying every conjunct that becomes fully
 // contained in the merged unit. The accumulated left chain is the probe
 // side and streams batch-at-a-time; only the right side (one base
-// relation in a left-deep plan) is materialised by the operator. With
-// engine parallelism > 1, equi hash joins run shard-parallel instead
-// (parallel.go); ctx bounds their fan-out phases.
-func (e *Engine) join(ctx context.Context, q *analyze.Query, left, right *unit, applied []bool, trackers *[]*opTracker) (*unit, error) {
+// relation in a left-deep plan) is materialised by the operator.
+func (e *Engine) join(q *analyze.Query, left, right *unit, applied []bool, trackers *[]*opTracker) (*unit, error) {
 	// Equi-join keys: unapplied a = b conjuncts with one side in each
 	// unit.
 	var lKeys, rKeys []int // slots
@@ -111,23 +108,19 @@ func (e *Engine) join(ctx context.Context, q *analyze.Query, left, right *unit, 
 	}
 	switch algo {
 	case HashJoin:
-		if e.par > 1 {
-			merged.it = &parallelHashJoinOp{joinBase: base, ctx: ctx, par: e.par}
-		} else {
-			h := &hashJoinOp{joinBase: base}
-			if e.vec {
-				// Columnar sides, when the units expose them: build keys
-				// encode column-at-a-time and probe rows materialise only
-				// on a bucket hit. Open/Close stay on the row views, which
-				// share the underlying operators.
-				pu, bu := left, right
-				if swap {
-					pu, bu = right, left
-				}
-				h.cprobe, h.cbuild = pu.cit, bu.cit
+		h := &hashJoinOp{joinBase: base}
+		if e.vec {
+			// Columnar sides, when the units expose them: build keys
+			// encode column-at-a-time and probe rows materialise only on a
+			// bucket hit. Open/Close stay on the row views, which share
+			// the underlying operators.
+			pu, bu := left, right
+			if swap {
+				pu, bu = right, left
 			}
-			merged.it = h
+			h.cprobe, h.cbuild = pu.cit, bu.cit
 		}
+		merged.it = h
 	case SortMergeJoin:
 		merged.it = &sortMergeJoinOp{joinBase: base}
 	default:

@@ -287,32 +287,13 @@ func (a *aggIter) Next(b *iter.Batch) (bool, error) {
 
 // aggState accumulates one aggregate over one group.
 type aggState struct {
-	count   int64
-	sum     float64
-	sumInt  int64
-	intOnly bool
-	// intPrefixMax / intPrefixMin are the extremes of the int64 running
-	// sum over this state's fold sequence (0 for the empty prefix). The
-	// serial fold falls back to float64 the moment any prefix overflows;
-	// a merged state reproduces that exactly by re-basing the source's
-	// prefix extremes on the destination's running sum (see mergeState) —
-	// comparing totals alone would miss a mid-chunk overflow that a
-	// later term cancels.
-	intPrefixMax, intPrefixMin int64
-	min, max                   value.Value
-	distinct                   map[string]struct{}
-	// distinctVals holds the distinct values in first-appearance order,
-	// so merging two states (parallel aggregation) can re-fold the other
-	// state's values deterministically.
-	distinctVals []value.Value
-	// trackTerms makes SUM/AVG folds record their float terms in input
-	// order (terms). The parallel aggregator sets it so that merged
-	// states can recompute the float sum by replaying the terms in the
-	// serial fold order — float addition is not associative, so merging
-	// partial sums would drift from the serial result in the last ulp.
-	trackTerms bool
-	terms      []float64
-	nonEmpty   bool
+	count    int64
+	sum      float64
+	sumInt   int64
+	intOnly  bool
+	min, max value.Value
+	distinct map[string]struct{}
+	nonEmpty bool
 }
 
 type group struct {
@@ -331,9 +312,6 @@ type aggregator struct {
 	groups map[string]*group
 	order  []string
 	kb     []byte // reused group-key encoding buffer
-	// trackTerms propagates to every aggState (see aggState.trackTerms);
-	// the parallel aggregator sets it.
-	trackTerms bool
 }
 
 func newAggregator(q *analyze.Query, layout *analyze.Layout) *aggregator {
@@ -343,7 +321,7 @@ func newAggregator(q *analyze.Query, layout *analyze.Layout) *aggregator {
 func (a *aggregator) newGroup(keys value.Row) *group {
 	g := &group{keys: keys, aggs: make([]*aggState, len(a.q.Aggs))}
 	for i, spec := range a.q.Aggs {
-		st := &aggState{intOnly: true, trackTerms: a.trackTerms}
+		st := &aggState{intOnly: true}
 		if spec.Distinct {
 			st.distinct = make(map[string]struct{})
 		}
@@ -445,15 +423,13 @@ func foldValue(st *aggState, spec analyze.AggSpec, v value.Value, w int64) error
 			return nil
 		}
 		st.distinct[k] = struct{}{}
-		st.distinctVals = append(st.distinctVals, v)
 		w = 1 // DISTINCT counts each value once regardless of multiplicity
 	}
 	return st.fold(v, w, spec)
 }
 
 // fold accumulates one non-NULL value with multiplicity w (DISTINCT
-// filtering already applied). It is shared by per-row accumulation and
-// by the distinct-set replay of mergeState.
+// filtering already applied).
 func (st *aggState) fold(v value.Value, w int64, spec analyze.AggSpec) error {
 	st.count += w
 	switch spec.Func {
@@ -461,31 +437,20 @@ func (st *aggState) fold(v value.Value, w int64, spec analyze.AggSpec) error {
 	default:
 		if f, ok := v.AsFloat(); ok {
 			st.sum += f * float64(w)
-			if st.trackTerms && (spec.Func == sqlparser.AggSum || spec.Func == sqlparser.AggAvg) {
-				st.terms = append(st.terms, f*float64(w))
-			}
 		} else if spec.Func == sqlparser.AggSum || spec.Func == sqlparser.AggAvg {
 			return fmt.Errorf("exec: %s over non-numeric %v", spec.Func, v.K)
 		}
 		if v.K == value.Int && st.intOnly {
-			// Keep the exact int64 running sum while it fits; on
-			// overflow fall back permanently to the float64 sum already
-			// accumulated above (see finalize for the precision trade).
-			if prod, ok := value.MulInt64(v.I, w); ok {
-				if next, ok := value.AddInt64(st.sumInt, prod); ok {
-					st.sumInt = next
-					if next > st.intPrefixMax {
-						st.intPrefixMax = next
-					}
-					if next < st.intPrefixMin {
-						st.intPrefixMin = next
-					}
-				} else {
-					st.intOnly = false
-				}
-			} else {
-				st.intOnly = false
+			// Keep the exact int64 running sum while it fits; the first
+			// prefix that overflows falls back permanently to the float64
+			// sum already accumulated above, even if a later term would
+			// bring the total back in range (see finalize for the
+			// precision trade).
+			prod, ok := value.MulInt64(v.I, w)
+			if ok {
+				st.sumInt, ok = value.AddInt64(st.sumInt, prod)
 			}
+			st.intOnly = ok
 		} else if v.K != value.Int {
 			st.intOnly = false
 		}

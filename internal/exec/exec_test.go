@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"github.com/bounded-eval/beas/internal/analyze"
@@ -114,33 +115,30 @@ func sumFixture(t *testing.T, vals []int64, weights []int64) value.Value {
 
 func TestSumIntOverflowPromotes(t *testing.T) {
 	const big = int64(1) << 62
-	// Within range: stays exact INT.
-	if got := sumFixture(t, []int64{big, 1}, nil); got.K != value.Int || got.I != big+1 {
-		t.Errorf("in-range SUM = %v (%v), want INT %d", got, got.K, big+1)
-	}
-	// 3 * 2^62 wraps int64; the sum must promote to float64, not go
-	// negative.
-	got := sumFixture(t, []int64{big, big, big}, nil)
-	if got.K != value.Float {
-		t.Fatalf("overflowing SUM = %v (%v), want FLOAT", got, got.K)
-	}
-	if want := 3 * float64(big); got.F != want {
-		t.Errorf("overflowing SUM = %g, want %g", got.F, want)
-	}
-	// Negative direction too.
-	got = sumFixture(t, []int64{-big, -big, -big}, nil)
-	if got.K != value.Float || got.F != -3*float64(big) {
-		t.Errorf("negative overflow SUM = %v (%v), want FLOAT %g", got, got.K, -3*float64(big))
-	}
-	// Overflow via bag weights: one row standing for many duplicates.
-	got = sumFixture(t, []int64{big}, []int64{4})
-	if got.K != value.Float || got.F != 4*float64(big) {
-		t.Errorf("weighted overflow SUM = %v (%v), want FLOAT %g", got, got.K, 4*float64(big))
-	}
-	// Once promoted, later small values keep the float path.
-	got = sumFixture(t, []int64{big, big, big, -big, -big, -big}, nil)
-	if got.K != value.Float || got.F != 0 {
-		t.Errorf("promote-then-cancel SUM = %v (%v), want FLOAT 0", got, got.K)
+	for _, c := range []struct {
+		name          string
+		vals, weights []int64
+		want          value.Value
+	}{
+		{"in range stays exact", []int64{big, 1}, nil, value.NewInt(big + 1)},
+		// 3 * 2^62 wraps int64; the sum must promote to float64, not go
+		// negative.
+		{"overflow promotes", []int64{big, big, big}, nil, value.NewFloat(3 * float64(big))},
+		{"negative overflow", []int64{-big, -big, -big}, nil, value.NewFloat(-3 * float64(big))},
+		// One row standing for many duplicates.
+		{"overflow via bag weight", []int64{big}, []int64{4}, value.NewFloat(4 * float64(big))},
+		// Once promoted, later small values keep the float path.
+		{"promote then cancel", []int64{big, big, big, -big, -big, -big}, nil, value.NewFloat(0)},
+		// The running sum overflows on a prefix that a later term cancels:
+		// the total fits int64, but the fold left the exact path at the
+		// prefix and must stay FLOAT.
+		{"prefix overflow later cancelled", []int64{math.MaxInt64 - 5, 0, 10, -10, 0, 0, 0, 0, 0}, nil,
+			value.NewFloat(float64(math.MaxInt64-5) + 10 - 10)},
+	} {
+		got := sumFixture(t, c.vals, c.weights)
+		if got.K != c.want.K || value.Key(value.Row{got}) != value.Key(value.Row{c.want}) {
+			t.Errorf("%s: SUM = %v (%v), want %v (%v)", c.name, got, got.K, c.want, c.want.K)
+		}
 	}
 }
 

@@ -29,9 +29,11 @@ const BatchSize = 256
 // Batch is a block of weighted rows flowing between operators. Weights
 // is either nil (all rows have weight 1) or parallel to Rows.
 //
-// The Rows slice and the row values it points to are only valid until
-// the producer's next call to Next; consumers that buffer must copy the
-// references out (the rows themselves are immutable).
+// Row ownership: the Rows and Weights slices belong to the batch and are
+// refilled by the producer's next call to Next, but the rows they point
+// to are immutable once emitted — no producer writes a row it has handed
+// out, and consumers must treat every row as read-only. A consumer that
+// buffers copies the references, never the rows.
 type Batch struct {
 	Rows    []value.Row
 	Weights []int64

@@ -2,8 +2,9 @@
 // output inside the engine's deterministic packages.
 //
 // BEAS promises bit-identical results — same bag, same order, same
-// statistics — across serial, parallel and vectorized execution, and
-// the WAL replays to bit-identical state. Go randomises map iteration
+// statistics — across runs, across scalar and vectorized execution and
+// with the result cache on or off, and the WAL replays to bit-identical
+// state. Go randomises map iteration
 // order per run, so a `for range m` that appends to a result slice,
 // writes to an output buffer or sends on a channel silently breaks that
 // contract. The fix is mechanical: collect the keys, sort them, then

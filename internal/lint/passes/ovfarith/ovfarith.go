@@ -2,8 +2,9 @@
 // in the expression evaluator and executors.
 //
 // SQL integer arithmetic in BEAS promotes to float64 on int64 overflow
-// instead of silently wrapping (PR 4's bug class: a wrapped SUM or
-// projection differs between serial and parallel fold orders). The
+// instead of silently wrapping (a wrapped SUM or projection is a wrong
+// answer, and the scalar, columnar and cache-patch folds must agree on
+// where they promote). The
 // value package provides the overflow-detecting helpers AddInt64,
 // SubInt64 and MulInt64; any raw +, -, * or negation whose operands
 // trace back to a value.Value payload (.I), a value.Row cell or a
@@ -25,8 +26,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "value-domain int64 arithmetic must use value.AddInt64/SubInt64/MulInt64\n\n" +
 		"In analyze, exec and engine, raw +, -, * or unary minus over int64s that " +
 		"originate from value.Value.I, value.Row cells or ColBatch Ints() columns wraps " +
-		"silently on overflow instead of promoting to float64, so serial and parallel " +
-		"folds diverge. Unary negation guarded by an explicit math.MinInt64 check in the " +
+		"silently on overflow instead of promoting to float64, so the scalar, columnar " +
+		"and cache-patch folds diverge. Unary negation guarded by an explicit math.MinInt64 check in the " +
 		"same function is allowed.",
 	Run: run,
 }

@@ -198,11 +198,6 @@ type StatsSnapshot struct {
 	// (plan) tier is always live, the result tier only when enabled.
 	ResultCache ResultCacheSnapshot `json:"resultCache"`
 
-	// Parallelism is the served database's intra-query parallelism: how
-	// many worker goroutines a single bounded plan or hash join may use
-	// (1 = serial).
-	Parallelism int `json:"parallelism"`
-
 	// Optimizer reports the cost-based optimizer's setting and the
 	// statistics catalog it plans with.
 	Optimizer OptimizerSnapshot `json:"optimizer"`
@@ -340,7 +335,6 @@ func (m *metrics) snapshot(db *beas.DB) StatsSnapshot {
 		Bytes:         rc.Bytes,
 		TemplateBytes: rc.TemplateBytes,
 	}
-	s.Parallelism = db.Parallelism()
 	s.Optimizer.Enabled = db.OptimizerEnabled()
 	tables, cons := db.DataStats()
 	for _, t := range tables {

@@ -397,9 +397,8 @@ func appendU64(dst []byte, u uint64) []byte {
 
 // HashKey hashes an encoded key (as produced by Key / AppendKey /
 // AppendRowKey) for shard routing — FNV-1a folded to 32 bits. The
-// access-constraint indices and the parallel hash join both mask it
-// down to their shard counts; the hash only spreads keys, results never
-// depend on it.
+// access-constraint indices mask it down to their shard count; the hash
+// only spreads keys, results never depend on it.
 func HashKey(key string) uint32 {
 	const (
 		offset64 = 14695981039346656037

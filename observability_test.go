@@ -10,6 +10,8 @@ package beas
 
 import (
 	"bytes"
+	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -168,6 +170,66 @@ func TestSetMetricsTracksQueries(t *testing.T) {
 			t.Errorf("%s = %v on an in-memory store, want 0", name, v)
 		}
 	}
+}
+
+// TestDigestsRecordFailedStatements: a statement that fails before it
+// produces rows — a context already cancelled, an analysis error, an
+// uncovered statement under QueryBounded — still folds exactly one
+// observation with its outcome into the workload digests, through Query
+// and through QueryIter alike (beasd serves through QueryIter).
+func TestDigestsRecordFailedStatements(t *testing.T) {
+	db := randomDB(t, rand.New(rand.NewSource(5)))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const covered, unknownCol = "SELECT r.c FROM r WHERE r.a = 1", "SELECT r.nope FROM r WHERE r.a = 1"
+	query := func(ctx context.Context, sql string) error {
+		_, err := db.QueryContext(ctx, sql)
+		return err
+	}
+	cursor := func(ctx context.Context, sql string) error {
+		ri, err := db.QueryIterContext(ctx, sql)
+		if err == nil {
+			ri.Close()
+		}
+		return err
+	}
+	bounded := func(ctx context.Context, sql string) error {
+		_, err := db.QueryBoundedContext(ctx, sql)
+		return err
+	}
+	for _, c := range []struct {
+		name     string
+		run      func(context.Context, string) error
+		ctx      context.Context
+		sql      string
+		canceled bool
+	}{
+		{"Query/cancelled", query, cancelled, covered, true},
+		{"Query/analysis error", query, context.Background(), unknownCol, false},
+		{"QueryIter/cancelled", cursor, cancelled, covered, true},
+		{"QueryIter/analysis error", cursor, context.Background(), unknownCol, false},
+		{"QueryBounded/uncovered", bounded, context.Background(), "SELECT r.a FROM r WHERE r.c = 'c1'", false},
+	} {
+		d := NewDigestSet(0)
+		db.SetDigests(d)
+		if err := c.run(c.ctx, c.sql); err == nil {
+			t.Fatalf("%s: statement succeeded", c.name)
+		}
+		if n := d.Observations(); n != 1 {
+			t.Errorf("%s: %d digest observations, want 1", c.name, n)
+			continue
+		}
+		snap := d.Snapshot()
+		want := DigestSnapshot{Calls: 1, Errors: 1}
+		if c.canceled {
+			want = DigestSnapshot{Calls: 1, Cancels: 1}
+		}
+		if len(snap) != 1 || snap[0].Calls != want.Calls || snap[0].Errors != want.Errors || snap[0].Cancels != want.Cancels {
+			t.Errorf("%s: digests = %+v, want one entry with calls=1 errors=%d cancels=%d",
+				c.name, snap, want.Errors, want.Cancels)
+		}
+	}
+	db.SetDigests(nil)
 }
 
 // BenchmarkTracedQuery prices the tracer on the hot query path: off

@@ -25,10 +25,6 @@ type Options struct {
 	// negative disables automatic snapshots — the log then only shrinks
 	// on explicit Snapshot calls or Close.
 	SnapshotEvery int
-	// Parallelism is the intra-query parallelism (see DB.SetParallelism):
-	// n > 1 lets a single bounded plan exploit n cores. 0 or 1 keeps the
-	// serial executor. Results are bit-identical across settings.
-	Parallelism int
 	// Optimizer enables the cost-based plan optimizer (see
 	// DB.SetOptimizer): covered queries then pick among equivalent
 	// coverage derivations by statistics-estimated cost instead of
@@ -138,9 +134,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 	// replay below mutates tables directly (observers attach lazily at
 	// the first Store, so replay events are never mis-seen either way).
 	db.qc = qcache.New(o.PlanCacheMaxBytes, o.ResultCacheMaxBytes, o.ResultCache)
-	if o.Parallelism > 1 {
-		db.SetParallelism(o.Parallelism)
-	}
 	if o.Optimizer {
 		db.SetOptimizer(true)
 	}

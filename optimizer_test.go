@@ -7,15 +7,14 @@ import (
 )
 
 // The cost-based optimizer must be invisible in results: optimizer on
-// and off produce identical bags on every query, at every parallelism,
-// while reporting the unchanged worst-case bound for admission control.
+// and off produce identical bags on every query, while reporting the unchanged worst-case bound for admission control.
 // These tests verify that on the randomized equivalence corpus and the
 // TLC benchmark, and pin the optimizer's raison d'être: on Q12 — whose
 // worst-case-greedy step order is suboptimal on the actual data — the
 // optimized plan fetches at least 2× fewer tuples.
 
 // TestOptimizerEquivalenceRandomized: optimizer on vs off over the
-// randomized corpus, serial and parallel.
+// randomized corpus.
 func TestOptimizerEquivalenceRandomized(t *testing.T) {
 	const databases = 4
 	const queriesPerDB = 30
@@ -33,57 +32,48 @@ func TestOptimizerEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{1, 4} {
-				dbOff.SetOptimizer(true)
-				dbOff.SetParallelism(par)
-				on, err := dbOff.Query(sql)
-				if err != nil {
-					t.Fatalf("on(par=%d) Query(%q): %v", par, sql, err)
-				}
-				if got := bag(on.Rows); !equalBags(got, want) {
-					t.Fatalf("optimizer changed the bag (par=%d) on %q:\non  = %v\noff = %v", par, sql, got, want)
-				}
-				// The reported admission bound is the unchanged worst case,
-				// and the executor must still respect it.
-				onInfo, err := dbOff.Check(sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if onInfo.Bound != info.Bound {
-					t.Fatalf("optimizer changed the reported bound on %q: %d vs %d", sql, onInfo.Bound, info.Bound)
-				}
-				if info.Covered && info.Bound != ^uint64(0) && uint64(on.Stats.TuplesFetched) > info.Bound {
-					t.Fatalf("optimized plan fetched %d > bound %d on %q", on.Stats.TuplesFetched, info.Bound, sql)
-				}
-				dbOff.SetOptimizer(false)
-				dbOff.SetParallelism(1)
+			dbOff.SetOptimizer(true)
+			on, err := dbOff.Query(sql)
+			if err != nil {
+				t.Fatalf("on Query(%q): %v", sql, err)
 			}
+			if got := bag(on.Rows); !equalBags(got, want) {
+				t.Fatalf("optimizer changed the bag on %q:\non  = %v\noff = %v", sql, got, want)
+			}
+			// The reported admission bound is the unchanged worst case,
+			// and the executor must still respect it.
+			onInfo, err := dbOff.Check(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if onInfo.Bound != info.Bound {
+				t.Fatalf("optimizer changed the reported bound on %q: %d vs %d", sql, onInfo.Bound, info.Bound)
+			}
+			if info.Covered && info.Bound != ^uint64(0) && uint64(on.Stats.TuplesFetched) > info.Bound {
+				t.Fatalf("optimized plan fetched %d > bound %d on %q", on.Stats.TuplesFetched, info.Bound, sql)
+			}
+			dbOff.SetOptimizer(false)
 		}
 	}
 }
 
 // TestOptimizerEquivalenceTLC: every built-in TLC query, optimizer on vs
-// off, at parallelism 1 and 4.
+// off.
 func TestOptimizerEquivalenceTLC(t *testing.T) {
 	db := MustNewTLCDB(1)
 	for _, q := range TLCQueries() {
 		db.SetOptimizer(false)
-		db.SetParallelism(1)
 		off, err := db.Query(q.SQL)
 		if err != nil {
 			t.Fatalf("%s off: %v", q.Name, err)
 		}
-		want := bag(off.Rows)
-		for _, par := range []int{1, 4} {
-			db.SetOptimizer(true)
-			db.SetParallelism(par)
-			on, err := db.Query(q.SQL)
-			if err != nil {
-				t.Fatalf("%s on par=%d: %v", q.Name, par, err)
-			}
-			if got := bag(on.Rows); !equalBags(got, want) {
-				t.Fatalf("%s: optimizer changed the bag at par=%d", q.Name, par)
-			}
+		db.SetOptimizer(true)
+		on, err := db.Query(q.SQL)
+		if err != nil {
+			t.Fatalf("%s on: %v", q.Name, err)
+		}
+		if !equalBags(bag(on.Rows), bag(off.Rows)) {
+			t.Fatalf("%s: optimizer changed the bag", q.Name)
 		}
 	}
 }

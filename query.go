@@ -12,6 +12,7 @@ import (
 	"github.com/bounded-eval/beas/internal/core"
 	"github.com/bounded-eval/beas/internal/engine"
 	"github.com/bounded-eval/beas/internal/exec"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/obs"
 	"github.com/bounded-eval/beas/internal/qcache"
 	"github.com/bounded-eval/beas/internal/sqlparser"
@@ -196,12 +197,22 @@ func (db *DB) QueryBoundedContext(ctx context.Context, sql string) (*Result, err
 	return db.query(ctx, &Stmt{db: db, sql: sql}, false)
 }
 
-// run is one execution's view of its statement, set up by beginLocked.
+// run is one execution of a statement by Query, QueryBounded or
+// QueryIter, from begin to end: the resolved statement, the answer
+// stream's per-branch executor statistics and, for a storing run, the
+// answer itself.
 type run struct {
-	tmpl  *qcache.Template
-	pr    *prepared
-	start time.Time
-	// hit: cached is a fresh answer from the result cache; serve it, run
+	db     *DB
+	sql    string
+	called time.Time // entry, the clock of the workload digest
+	finish func()    // finishes the trace begin started
+	tmpl   *qcache.Template
+	pr     *prepared
+	start  time.Time
+	// res is the Result the statistics accrue in; nil until the answer
+	// stream exists, i.e. for an execution that failed before it ran.
+	res *Result
+	// hit: res is a fresh answer from the result cache; serve it, run
 	// nothing.
 	hit    bool
 	cached qcache.CachedResult
@@ -210,15 +221,27 @@ type run struct {
 	// Store re-checks them so an interleaved mutation can never be
 	// double-counted (once in the answer, once as a patch).
 	tvs []qcache.TableVersion
-	ran []ranBranch // the covered branches a storing run executed
+	// one (a single-branch statement) or ran (a UNION) holds each
+	// branch's executor statistics, folded into res once the stream is
+	// closed; see executed.
+	one ranBranch
+	ran []ranBranch
+	// rows is the answer a storing run offers the result cache; complete
+	// says the stream was read to its end, so rows is all of it. rowsOut
+	// counts the rows handed to the caller.
+	rows     []value.Row
+	complete bool
+	rowsOut  int64
 }
 
-// ranBranch is one executed branch of a storing run: the plan it ran
-// and the executor statistics carrying the probed keys.
+// ranBranch is one executed branch: the plan it ran and the executor
+// statistics — of the bounded plan, or of a partially bounded plan's
+// bounded sub-plan (st) and conventional engine (eng).
 type ranBranch struct {
 	b    *branch
 	plan *core.Plan
 	st   *core.Stats
+	eng  *engine.Stats
 }
 
 // beginLocked is the prologue of every executing entry point: resolve
@@ -255,14 +278,173 @@ func (r *run) plan(b *branch) *core.Plan {
 	return &keyed
 }
 
-// storeLocked offers a completely executed, fully covered answer (st
-// holds its folded statistics) to the result cache with each step's
+// begin opens one execution of st for Query, QueryBounded and QueryIter:
+// under a trace and the catalog read lock it resolves st and returns the
+// answer stream (pipelineLocked) — or, on a result-cache hit, no stream
+// and r.res holding the stored answer. On success the caller owns the
+// lock and the trace until r.end; on failure begin has already ended r,
+// so the failure is in the workload digests exactly once.
+func (db *DB) begin(ctx context.Context, st *Stmt, allowFallback bool, r *run) (it iter.Iterator, err error) {
+	r.db, r.sql, r.called = db, st.sql, time.Now()
+	if err = ctx.Err(); err != nil {
+		db.observe(r, err)
+		return nil, err
+	}
+	ctx, r.finish = db.startTrace(ctx, "query", st.sql)
+	db.mu.RLock()
+	opened := false
+	defer func() {
+		if !opened {
+			r.end(err)
+		}
+	}()
+	if err = db.beginLocked(ctx, st, r); err != nil {
+		return nil, err
+	}
+	if r.hit {
+		r.res = db.serveCachedLocked(r)
+		opened = true
+		return nil, nil
+	}
+	if !r.pr.info.Covered && !allowFallback {
+		return nil, fmt.Errorf("beas: query is not covered by the access schema: %s", r.pr.info.Reason)
+	}
+	if it, err = db.pipelineLocked(ctx, r); err != nil {
+		return nil, err
+	}
+	r.res = &Result{Columns: r.pr.columns, Stats: r.pr.stats}
+	opened = true
+	return it, nil
+}
+
+// pipelineLocked builds the answer stream of r's statement: one iterator
+// per UNION branch — the bounded plan through core.StreamContext, a
+// partially bounded one through core.StreamPartialContext, whose bounded
+// sub-plan runs here, eagerly — concatenated under the statement's UNION
+// dedup. Each branch's statistics land in r.one or r.ran. Callers hold
+// db.mu (read suffices).
+func (db *DB) pipelineLocked(ctx context.Context, r *run) (iter.Iterator, error) {
+	branches := r.pr.branches
+	var parts []iter.Iterator
+	if len(branches) > 1 {
+		r.ran = make([]ranBranch, 0, len(branches))
+		parts = make([]iter.Iterator, 0, len(branches))
+	}
+	var it iter.Iterator
+	for i := range branches {
+		rb := ranBranch{b: &branches[i]}
+		if rb.b.plan != nil {
+			rb.plan = r.plan(rb.b)
+			it, rb.st = core.StreamContext(ctx, rb.plan)
+		} else {
+			var err error
+			if it, rb.st, rb.eng, err = core.StreamPartialContext(ctx, rb.b.partial, rb.b.q, db.fallback); err != nil {
+				return nil, err
+			}
+		}
+		if parts == nil {
+			r.one = rb
+		} else {
+			r.ran = append(r.ran, rb)
+			parts = append(parts, it)
+		}
+	}
+	if parts != nil {
+		// UNION semantics: every branch up to the last plain (non-ALL)
+		// UNION shares one duplicate-elimination set; branches after it
+		// append freely.
+		dedupThrough := -1
+		for i, all := range r.tmpl.Parsed.(*parsed).unionAll {
+			if i > 0 && !all {
+				dedupThrough = i
+			}
+		}
+		it = &unionIter{parts: parts, dedupThrough: dedupThrough}
+	}
+	if tr, parent := obs.FromContext(ctx); tr != nil {
+		// The stream span measures time spent pulling result batches —
+		// including the upstream pipeline; the fetch and operator spans
+		// break out where it went.
+		streamStart := time.Now()
+		it = iter.Timed(it, func(batches, rows int64, d time.Duration) {
+			tr.AddSpan(parent, "stream", streamStart, d,
+				obs.Attr{Key: "batches", Val: batches},
+				obs.Attr{Key: "rows", Val: rows},
+			)
+		})
+	}
+	return it, nil
+}
+
+// executed returns the branches the answer stream ran, in branch order.
+func (r *run) executed() []ranBranch {
+	if r.ran == nil && r.one.st != nil {
+		return []ranBranch{r.one}
+	}
+	return r.ran
+}
+
+// end closes an execution begin opened, once its stream is closed (or
+// was never built): it folds the branches' statistics into r.res, offers
+// a complete answer of a storing run to the result cache, releases the
+// catalog lock and the trace, and records the outcome in the workload
+// digests.
+func (r *run) end(err error) {
+	db := r.db
+	if r.res != nil {
+		st := &r.res.Stats
+		ran := r.executed()
+		for _, rb := range ran {
+			st.TuplesFetched += rb.st.Fetched
+			for _, s := range rb.st.Steps {
+				st.FetchSteps = append(st.FetchSteps, StepStat(s))
+			}
+			if rb.eng != nil {
+				st.TuplesScanned += rb.eng.Scanned
+				for _, o := range rb.eng.Ops {
+					st.Ops = append(st.Ops, OpStat(o))
+				}
+			}
+		}
+		st.Duration = time.Since(r.start)
+		if st.Mode == ModeBounded && st.TuplesFetched == 0 && st.Bound == 0 {
+			st.Mode = ModeEmpty
+		}
+		if r.tvs != nil && r.complete && err == nil {
+			db.storeLocked(r, ran)
+		}
+	}
+	db.mu.RUnlock()
+	r.finish()
+	db.observe(r, err)
+}
+
+// observe folds r's terminal outcome into the workload digests, off the
+// catalog lock. With digests off the cost is one atomic load.
+func (db *DB) observe(r *run, err error) {
+	d := db.digests.Load()
+	if d == nil {
+		return
+	}
+	var st *Stats
+	var fp string
+	if r.res != nil {
+		st = &r.res.Stats
+	}
+	if r.tmpl != nil {
+		fp = r.tmpl.Fingerprint
+	}
+	d.Observe(digestObservation(fp, r.sql, st, r.rowsOut, err, time.Since(r.called)))
+}
+
+// storeLocked offers r's complete, fully covered answer (r.res holds the
+// statistics folded from ran) to the result cache with each step's
 // probed keys, the pre-execution table versions and the bound guards.
 // Callers hold db.mu (read suffices).
-func (db *DB) storeLocked(r *run, columns []string, rows []value.Row, st *Stats) {
+func (db *DB) storeLocked(r *run, ran []ranBranch) {
 	var steps []core.StepStat
 	var regs []qcache.StepReg
-	for _, rb := range r.ran {
+	for _, rb := range ran {
 		for si := range rb.plan.Steps {
 			var keys []string
 			if rb.st.StepKeys != nil {
@@ -272,11 +454,12 @@ func (db *DB) storeLocked(r *run, columns []string, rows []value.Row, st *Stats)
 		}
 		steps = append(steps, rb.st.Steps...)
 	}
+	st := &r.res.Stats
 	db.qc.Store(&qcache.StoreRequest{
 		Key: r.tmpl.ResultKey,
 		Result: &qcache.CachedResult{
-			Columns:         columns,
-			Rows:            rows,
+			Columns:         r.res.Columns,
+			Rows:            r.rows,
 			Bound:           st.Bound,
 			ConstraintsUsed: st.ConstraintsUsed,
 			TuplesFetched:   st.TuplesFetched,
@@ -285,72 +468,38 @@ func (db *DB) storeLocked(r *run, columns []string, rows []value.Row, st *Stats)
 			Optimized:       st.Optimized,
 		},
 		Branches:    len(r.pr.branches),
-		Query:       r.ran[0].b.q,
-		Plan:        r.ran[0].plan,
+		Query:       ran[0].b.q,
+		Plan:        ran[0].plan,
 		Steps:       regs,
 		Tables:      r.tvs,
 		OptimizerOn: r.pr.stats.Optimized,
 	})
 }
 
-// query is the evaluation core behind Query/QueryBounded.
+// query is the evaluation core behind Query/QueryBounded: it collects
+// the answer stream begin builds — the same one QueryIter's cursor pulls
+// from — into a Result.
 func (db *DB) query(ctx context.Context, st *Stmt, allowFallback bool) (res *Result, err error) {
-	var fp string
-	defer db.observeDigest(&fp, st.sql, &res, &err, time.Now())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, finish := db.startTrace(ctx, "query", st.sql)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	r := &run{}
-	if err := db.beginLocked(ctx, st, r); err != nil {
+	it, err := db.begin(ctx, st, allowFallback, r)
+	if err != nil {
 		return nil, err
 	}
-	fp = r.tmpl.Fingerprint
-	if r.hit {
-		return db.serveCachedLocked(r), nil
-	}
-	pr := r.pr
-	if !pr.info.Covered && !allowFallback {
-		return nil, fmt.Errorf("beas: query is not covered by the access schema: %s", pr.info.Reason)
-	}
-	unionAll := r.tmpl.Parsed.(*parsed).unionAll
-	res = &Result{Columns: pr.columns, Stats: pr.stats}
-	var rows []value.Row
-	for i := range pr.branches {
-		b := &pr.branches[i]
-		var branchRows []value.Row
-		if b.plan != nil {
-			branchRows, err = db.runBounded(ctx, r, b, &res.Stats)
-		} else {
-			branchRows, err = db.runPartial(ctx, b, &res.Stats)
-		}
-		if err != nil {
+	defer func() { r.end(err) }()
+	if it != nil {
+		if r.rows, _, err = iter.Collect(it); err != nil {
 			return nil, err
 		}
-		if i > 0 && !unionAll[i] {
-			rows = exec.Dedup(append(rows, branchRows...))
-		} else {
-			rows = append(rows, branchRows...)
-		}
+		r.res.Rows = r.rows
 	}
-	res.Rows = rows
-	if r.tvs != nil {
-		db.storeLocked(r, res.Columns, rows, &res.Stats)
-	}
-	res.Stats.Duration = time.Since(r.start)
-	if res.Stats.Mode == ModeBounded && res.Stats.TuplesFetched == 0 && res.Stats.Bound == 0 {
-		res.Stats.Mode = ModeEmpty
-	}
-	return res, nil
+	r.rowsOut, r.complete = int64(len(r.res.Rows)), true
+	return r.res, nil
 }
 
 // serveCachedLocked materializes a Result from a cache hit. Everything
 // data-derived — rows, order, bound, fetch statistics — is the stored
-// (patch-maintained) answer; Duration is this serve and CacheHit marks
-// the result. Callers hold db.mu (read suffices).
+// (patch-maintained) answer; CacheHit marks the result, and end times
+// the serve. Callers hold db.mu (read suffices).
 func (db *DB) serveCachedLocked(r *run) *Result {
 	cr := &r.cached
 	res := &Result{Columns: cr.Columns, Rows: cr.Rows, Stats: Stats{
@@ -367,58 +516,7 @@ func (db *DB) serveCachedLocked(r *run) *Result {
 	for _, s := range cr.Steps {
 		res.Stats.FetchSteps = append(res.Stats.FetchSteps, StepStat(s))
 	}
-	res.Stats.Duration = time.Since(r.start)
-	if res.Stats.TuplesFetched == 0 && res.Stats.Bound == 0 {
-		res.Stats.Mode = ModeEmpty
-	}
 	return res
-}
-
-// runBounded executes one covered branch — across db.par workers when
-// parallelism is on — and folds its execution statistics into st.
-func (db *DB) runBounded(ctx context.Context, r *run, b *branch, st *Stats) ([]value.Row, error) {
-	plan := r.plan(b)
-	ectx, esp := obs.StartSpan(ctx, "execute")
-	rows, cst, err := core.RunParallelContext(ectx, plan, db.par)
-	if esp != nil {
-		esp.Set("mode", "bounded").Set("fetched", cst.Fetched).Set("rows", cst.RowsOut)
-		esp.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	foldBounded(st, cst)
-	if r.tvs != nil {
-		r.ran = append(r.ran, ranBranch{b: b, plan: plan, st: cst})
-	}
-	return rows, nil
-}
-
-// foldBounded adds a bounded branch's executor statistics to st.
-func foldBounded(st *Stats, cst *core.Stats) {
-	st.TuplesFetched += cst.Fetched
-	for _, s := range cst.Steps {
-		st.FetchSteps = append(st.FetchSteps, StepStat(s))
-	}
-}
-
-// runPartial executes one partially bounded branch and folds statistics.
-func (db *DB) runPartial(ctx context.Context, b *branch, st *Stats) ([]value.Row, error) {
-	ectx, esp := obs.StartSpan(ctx, "execute")
-	rows, subStats, engStats, err := core.RunPartialContext(ectx, b.partial, b.q, db.fallback, db.par)
-	if esp != nil && subStats != nil && engStats != nil {
-		esp.Set("mode", "partial").Set("fetched", subStats.Fetched).Set("scanned", engStats.Scanned)
-	}
-	esp.End()
-	if err != nil {
-		return nil, err
-	}
-	foldBounded(st, subStats)
-	st.TuplesScanned += engStats.Scanned
-	for _, o := range engStats.Ops {
-		st.Ops = append(st.Ops, OpStat(o))
-	}
-	return rows, nil
 }
 
 // QueryBaseline evaluates sql purely conventionally under one of the
@@ -486,8 +584,8 @@ func (db *DB) QueryApproxContext(ctx context.Context, sql string, budget int64) 
 }
 
 func (db *DB) queryApprox(ctx context.Context, st *Stmt, budget int64) (res *Result, coverage float64, err error) {
-	var fp string
-	defer db.observeDigest(&fp, st.sql, &res, &err, time.Now())
+	r := &run{sql: st.sql, called: time.Now()}
+	defer func() { db.observe(r, err) }()
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -495,11 +593,10 @@ func (db *DB) queryApprox(ctx context.Context, st *Stmt, budget int64) (res *Res
 	defer finish()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	tmpl, pr, err := db.resolveLocked(ctx, st)
-	if err != nil {
+	if r.tmpl, r.pr, err = db.resolveLocked(ctx, st); err != nil {
 		return nil, 0, err
 	}
-	fp = tmpl.Fingerprint
+	tmpl, pr := r.tmpl, r.pr
 	if !pr.info.Covered {
 		return nil, 0, fmt.Errorf("beas: approximation requires a covered query: %s", pr.info.Reason)
 	}
@@ -525,6 +622,7 @@ func (db *DB) queryApprox(ctx context.Context, st *Stmt, budget int64) (res *Res
 	}
 	res.Rows = rows
 	res.Stats.Duration = time.Since(start)
+	r.res, r.rowsOut = res, int64(len(rows))
 	return res, coverage, nil
 }
 

@@ -103,8 +103,10 @@ type Stats struct {
 // Result is a query result.
 type Result struct {
 	Columns []string
-	Rows    []Row
-	Stats   Stats
+	// Rows are immutable: the result cache and later results of the same
+	// statement may share them, so treat every row as read-only.
+	Rows  []Row
+	Stats Stats
 }
 
 // String renders the result as an aligned text table (for the CLI and

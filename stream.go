@@ -3,11 +3,8 @@ package beas
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"github.com/bounded-eval/beas/internal/core"
 	"github.com/bounded-eval/beas/internal/iter"
-	"github.com/bounded-eval/beas/internal/obs"
 	"github.com/bounded-eval/beas/internal/value"
 )
 
@@ -27,43 +24,26 @@ import (
 // indices. Close is idempotent and is called automatically when the
 // stream is exhausted or errors.
 type RowIter struct {
-	db      *DB
-	columns []string
-	it      iter.Iterator
-	res     *Result
-	final   []func() // fold per-branch execution stats into res at close
-	finish  func()   // finish the trace this cursor started (nil-safe set)
-	start   time.Time
+	r     run
+	it    iter.Iterator
+	batch iter.Batch
+	rows  []Row // per-row cursor state for Next
+	pos   int
 
-	batch  iter.Batch
-	rows   []Row // per-row cursor state for Next
-	pos    int
-	opened bool
-	closed bool
-	err    error
-
-	// Workload-digest state: the set installed when the cursor opened,
-	// the statement text and a count of rows actually streamed. The
-	// observation happens once, at Close, with the terminal outcome.
-	digests *obs.DigestSet
-	sql     string
-	rowsOut int64
-
-	// Store-on-drain state for the semantic result cache. A cursor that
-	// streams a fully covered statement to exhaustion has materialised
-	// the complete bounded answer anyway (it is at most the deduced
-	// bound M rows), so Close admits it exactly like Query does; an
-	// abandoned or failed cursor has a partial answer and never stores.
-	run       run
-	cacheRows []value.Row
-	drained   bool
+	opened, closed bool
+	// drained: the consumer read the stream to its end. Only then does a
+	// storing run offer its answer to the result cache at Close — an
+	// abandoned or failed cursor has a partial answer.
+	drained bool
+	err     error
 }
 
 // QueryIter evaluates sql exactly like Query — bounded when covered,
 // partially bounded or conventional otherwise, per UNION branch — but
-// returns a streaming cursor instead of a materialised Result. The two
-// produce identical row bags; QueryIter additionally guarantees that a
-// consumer which stops early never pays for the rows it did not read.
+// returns a streaming cursor instead of a materialised Result. Both pull
+// from one pipeline, so they produce the same rows in the same order and
+// the same statistics; QueryIter additionally guarantees that a consumer
+// which stops early never pays for the rows it did not read.
 func (db *DB) QueryIter(sql string) (*RowIter, error) {
 	return db.QueryIterContext(context.Background(), sql)
 }
@@ -78,116 +58,29 @@ func (db *DB) QueryIterContext(ctx context.Context, sql string) (*RowIter, error
 	return db.queryIter(ctx, &Stmt{db: db, sql: sql})
 }
 
+// queryIter wraps the answer stream begin builds — the one Query
+// collects — in a cursor. A result-cache hit streams the stored answer
+// instead of executing.
 func (db *DB) queryIter(ctx context.Context, st *Stmt) (*RowIter, error) {
-	if err := ctx.Err(); err != nil {
+	ri := &RowIter{}
+	it, err := db.begin(ctx, st, true, &ri.r)
+	if err != nil {
 		return nil, err
 	}
-	ctx, finishTrace := db.startTrace(ctx, "query", st.sql)
-	db.mu.RLock()
-	ok := false
-	defer func() {
-		if !ok {
-			db.mu.RUnlock()
-			finishTrace()
-		}
-	}()
-	ri := &RowIter{db: db, finish: finishTrace, digests: db.digests.Load(), sql: st.sql}
-	r := &ri.run
-	if err := db.beginLocked(ctx, st, r); err != nil {
-		return nil, err
+	if it == nil {
+		it = iter.FromRows(ri.r.res.Rows, nil)
 	}
-	pr := r.pr
-	ri.columns, ri.start = pr.columns, r.start
-	ri.res = &Result{Columns: pr.columns, Stats: pr.stats}
-
-	// Result-cache hit: the fresh materialized answer streams from the
-	// snapshot instead of re-executing. On a miss the cursor accumulates
-	// the bounded answer as it drains and stores it at Close — but only
-	// when the consumer read the stream to exhaustion without error.
-	if r.hit {
-		ri.res = db.serveCachedLocked(r)
-		ri.it = iter.FromRows(r.cached.Rows, nil)
-		ok = true
-		return ri, nil
-	}
-
-	parts := make([]iter.Iterator, 0, len(pr.branches))
-	for i := range pr.branches {
-		b := &pr.branches[i]
-		if b.plan != nil {
-			plan := r.plan(b)
-			var it iter.Iterator
-			var cst *core.Stats
-			if db.par > 1 {
-				// Parallel mode: the bounded branch executes eagerly across
-				// the worker pool (its size is bounded by the deduced bound
-				// M) and the cursor streams the materialised result. A
-				// consumer that stops early has already paid the bounded
-				// cost — which is exactly what the checker promised.
-				rows, pst, err := core.RunParallelContext(ctx, plan, db.par)
-				if err != nil {
-					return nil, err
-				}
-				it, cst = iter.FromRows(rows, nil), pst
-			} else {
-				it, cst = core.StreamContext(ctx, plan)
-			}
-			ri.final = append(ri.final, func() { foldBounded(&ri.res.Stats, cst) })
-			if r.tvs != nil {
-				r.ran = append(r.ran, ranBranch{b: b, plan: plan, st: cst})
-			}
-			parts = append(parts, it)
-			continue
-		}
-		// Not covered: partially bounded plan. The bounded sub-query runs
-		// eagerly here (its size is bounded by the access schema); the
-		// conventional join over it streams.
-		it, subStats, engStats, err := core.StreamPartialContext(ctx, b.partial, b.q, db.fallback, db.par)
-		if err != nil {
-			return nil, err
-		}
-		foldBounded(&ri.res.Stats, subStats)
-		ri.final = append(ri.final, func() {
-			ri.res.Stats.TuplesScanned += engStats.Scanned
-			for _, o := range engStats.Ops {
-				ri.res.Stats.Ops = append(ri.res.Stats.Ops, OpStat(o))
-			}
-		})
-		parts = append(parts, it)
-	}
-
-	// UNION semantics: every branch up to the last plain (non-ALL) UNION
-	// shares one duplicate-elimination set; branches after it append
-	// freely. This matches Query's fold of exec.Dedup over the branches.
-	dedupThrough := -1
-	for i, all := range r.tmpl.Parsed.(*parsed).unionAll {
-		if i > 0 && !all {
-			dedupThrough = i
-		}
-	}
-	ri.it = &unionIter{parts: parts, dedupThrough: dedupThrough}
-	if tr, parent := obs.FromContext(ctx); tr != nil {
-		// The stream span measures time spent pulling result batches
-		// through the cursor — including the upstream pipeline; the fetch
-		// and operator spans break out where it went.
-		streamStart := time.Now()
-		ri.it = iter.Timed(ri.it, func(batches, rows int64, d time.Duration) {
-			tr.AddSpan(parent, "stream", streamStart, d,
-				obs.Attr{Key: "batches", Val: batches},
-				obs.Attr{Key: "rows", Val: rows},
-			)
-		})
-	}
-	ok = true
+	ri.it = it
 	return ri, nil
 }
 
 // Columns returns the output column names.
-func (ri *RowIter) Columns() []string { return ri.columns }
+func (ri *RowIter) Columns() []string { return ri.r.res.Columns }
 
 // NextBatch returns the next batch of result rows, or nil when the
 // stream is exhausted (the cursor closes itself then). The returned
-// slice is only valid until the next NextBatch call.
+// slice is only valid until the next NextBatch call; the rows in it are
+// immutable and stay valid — read them, never write them.
 func (ri *RowIter) NextBatch() ([]Row, error) {
 	if ri.closed {
 		return nil, ri.err
@@ -209,13 +102,9 @@ func (ri *RowIter) NextBatch() ([]Row, error) {
 		ri.Close()
 		return nil, nil
 	}
-	ri.rowsOut += int64(len(ri.batch.Rows))
-	if ri.run.tvs != nil {
-		// Batch storage is reused between pulls; the cache keeps its own
-		// copy of each row.
-		for _, r := range ri.batch.Rows {
-			ri.cacheRows = append(ri.cacheRows, append(value.Row(nil), r...))
-		}
+	ri.r.rowsOut += int64(len(ri.batch.Rows))
+	if ri.r.tvs != nil {
+		ri.r.rows = append(ri.r.rows, ri.batch.Rows...)
 	}
 	return ri.batch.Rows, nil
 }
@@ -249,37 +138,18 @@ func (ri *RowIter) Close() error {
 	// Close even when Open failed partway: iterators tolerate Close
 	// without Open, and a half-opened pipeline must be shut down whole.
 	err := ri.it.Close()
-	for _, f := range ri.final {
-		f()
-	}
-	st := &ri.res.Stats
-	st.Duration = time.Since(ri.start)
-	if st.Mode == ModeBounded && st.TuplesFetched == 0 && st.Bound == 0 {
-		st.Mode = ModeEmpty
-	}
-	if ri.run.tvs != nil && ri.drained && err == nil && ri.err == nil {
-		// Still under db.mu (read), execution statistics already folded.
-		ri.db.storeLocked(&ri.run, ri.columns, ri.cacheRows, st)
-	}
-	ri.db.mu.RUnlock()
-	if ri.finish != nil {
-		ri.finish()
-	}
 	if ri.err == nil {
 		ri.err = err
 	}
-	if ri.digests != nil {
-		// Outside the catalog lock: the digest set has its own mutex and
-		// the cursor is single-consumer, so its stats are stable here.
-		ri.digests.Observe(digestObservation(st.Fingerprint, ri.sql, st, ri.rowsOut, ri.err, st.Duration))
-	}
+	ri.r.complete = ri.drained
+	ri.r.end(ri.err)
 	return err
 }
 
 // Stats returns the execution statistics. Counters accrue while the
 // cursor streams and are final once it is exhausted or closed; with
 // early termination they reflect only the work actually performed.
-func (ri *RowIter) Stats() *Stats { return &ri.res.Stats }
+func (ri *RowIter) Stats() *Stats { return &ri.r.res.Stats }
 
 // Err returns the first error the cursor encountered, if any.
 func (ri *RowIter) Err() error { return ri.err }

@@ -3,6 +3,7 @@ package beas
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,13 +50,17 @@ func TestQueryIterMatchesQuery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("QueryIter(%q): %v", sql, err)
 			}
-			got := collectIter(t, ri)
-			if !equalBags(bag(res.Rows), bag(got)) {
-				t.Fatalf("QueryIter(%q) bag differs from Query:\n iter: %d rows\n query: %d rows",
-					sql, len(got), len(res.Rows))
+			// One pipeline serves both: the same rows in the same order, and
+			// the same statistics — mode, bound, fetch steps, scans and
+			// operators (durations aside).
+			want := outcomeOf(res, nil)
+			got := outcomeOf(&Result{Rows: collectIter(t, ri), Stats: *ri.Stats()}, nil)
+			if !slices.Equal(got.rows, want.rows) {
+				t.Fatalf("QueryIter(%q) streamed %d rows, Query returned %d, or in another order",
+					sql, len(got.rows), len(want.rows))
 			}
-			if ri.Stats().Mode != res.Stats.Mode {
-				t.Errorf("QueryIter(%q) mode = %s, Query mode = %s", sql, ri.Stats().Mode, res.Stats.Mode)
+			if got.stats != want.stats {
+				t.Fatalf("QueryIter(%q) stats differ from Query:\niter:\n%s\nquery:\n%s", sql, got.stats, want.stats)
 			}
 		}
 	}
@@ -176,6 +181,30 @@ func TestLimitEarlyTermination(t *testing.T) {
 	if lim.Stats.TuplesScanned >= full.Stats.TuplesScanned {
 		t.Errorf("LIMIT scanned %d rows, full scanned %d — scans did not stop",
 			lim.Stats.TuplesScanned, full.Stats.TuplesScanned)
+	}
+}
+
+// TestJoinLimitEarlyExit: an uncovered query runs on the fallback
+// engine and has no deduced bound, so its hash join must stream the
+// probe side — a LIMIT that closes the pipeline early stops the scans
+// well before the whole relation.
+func TestJoinLimitEarlyExit(t *testing.T) {
+	db := MustNewTLCDB(2)
+	join := "SELECT call.region, package.pid FROM call, package WHERE call.pnum = package.pnum"
+	full, err := db.Query(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limited, err := db.Query(join + " LIMIT 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(limited.Rows) != 10 {
+		t.Fatalf("LIMIT 10 returned %d rows", len(limited.Rows))
+	}
+	if limited.Stats.TuplesScanned >= full.Stats.TuplesScanned {
+		t.Fatalf("join with LIMIT scanned %d rows, full join %d — probe side must stream, not materialise",
+			limited.Stats.TuplesScanned, full.Stats.TuplesScanned)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // execution statistics (modes, bounds, per-step and per-operator work
 // counters, estimates — everything except durations). This file checks
 // that differentially over the randomized corpus and a fixed set of
-// NULL / NaN / overflow regression queries, across optimizer on/off and
-// parallelism 1 and 4.
+// NULL / NaN / overflow regression queries, with the optimizer on and
+// off.
 
 // semantics-heavy regression queries: Kleene three-valued logic, NaN
 // total order, int64 overflow promotion, weighted DISTINCT and fused
@@ -114,24 +114,20 @@ func TestVectorizedScalarEquivalence(t *testing.T) {
 
 		for _, optimizer := range []bool{false, true} {
 			db.SetOptimizer(optimizer)
-			for _, par := range []int{1, 4} {
-				db.SetParallelism(par)
-				for _, sql := range corpus {
-					db.SetVectorized(true)
-					vres, verr := db.Query(sql)
-					db.SetVectorized(false)
-					sres, serr := db.Query(sql)
-					if d := outcomeOf(vres, verr).diff(outcomeOf(sres, serr)); d != "" {
-						t.Fatalf("Query(%q) optimizer=%v par=%d: %s", sql, optimizer, par, d)
-					}
+			for _, sql := range corpus {
+				db.SetVectorized(true)
+				vres, verr := db.Query(sql)
+				db.SetVectorized(false)
+				sres, serr := db.Query(sql)
+				if d := outcomeOf(vres, verr).diff(outcomeOf(sres, serr)); d != "" {
+					t.Fatalf("Query(%q) optimizer=%v: %s", sql, optimizer, d)
 				}
 			}
 		}
 
-		// The streaming cursor path (QueryIter) serves the serial bounded
-		// branch through StreamContext; check the ordered stream too.
+		// The streaming cursor path (QueryIter); check the ordered stream
+		// too.
 		db.SetOptimizer(false)
-		db.SetParallelism(1)
 		for i, sql := range corpus {
 			if i%4 != 0 {
 				continue
