@@ -129,16 +129,24 @@ func TestSumIntOverflowPromotes(t *testing.T) {
 		{"overflow via bag weight", []int64{big}, []int64{4}, value.NewFloat(4 * float64(big))},
 		// Once promoted, later small values keep the float path.
 		{"promote then cancel", []int64{big, big, big, -big, -big, -big}, nil, value.NewFloat(0)},
-		// The running sum overflows on a prefix that a later term cancels:
-		// the total fits int64, but the fold left the exact path at the
-		// prefix and must stay FLOAT.
-		{"prefix overflow later cancelled", []int64{math.MaxInt64 - 5, 0, 10, -10, 0, 0, 0, 0, 0}, nil,
-			value.NewFloat(float64(math.MaxInt64-5) + 10 - 10)},
 	} {
 		got := sumFixture(t, c.vals, c.weights)
 		if got.K != c.want.K || value.Key(value.Row{got}) != value.Key(value.Row{c.want}) {
 			t.Errorf("%s: SUM = %v (%v), want %v (%v)", c.name, got, got.K, c.want, c.want.K)
 		}
+	}
+}
+
+// TestMergeMidChunkOverflowCancelled pins the subtle overflow case: the
+// running sum overflows on a prefix that a later term cancels, so the
+// int-exact path is gone for good even though the total fits int64. The
+// fold must return FLOAT, not a divergent INT.
+func TestMergeMidChunkOverflowCancelled(t *testing.T) {
+	// (MaxInt64-5) + 0 + 10 overflows; the +10 is cancelled by -10.
+	got := sumFixture(t, []int64{math.MaxInt64 - 5, 0, 10, -10, 0, 0, 0, 0, 0}, nil)
+	want := value.NewFloat(float64(math.MaxInt64-5) + 10 - 10)
+	if got.K != value.Float || got.F != want.F {
+		t.Fatalf("SUM = %v (%v), want FLOAT %v (prefix overflow must stick)", got, got.K, want)
 	}
 }
 
