@@ -359,9 +359,17 @@ func (r *RowHash) Add(row []any) {
 		r.failed = true
 		return
 	}
-	r.h.Write(b)
-	r.h.Write([]byte{'\n'})
+	r.AddJSON(b)
 }
+
+// AddJSON folds in one row already encoded exactly as json.Marshal
+// encodes it.
+func (r *RowHash) AddJSON(b []byte) {
+	r.h.Write(b)
+	r.h.Write(newline)
+}
+
+var newline = []byte{'\n'}
 
 // Sum returns the hex digest, or "!unhashable" if any row failed to
 // encode.

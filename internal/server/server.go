@@ -1,6 +1,10 @@
 // Package server is BEAS's concurrent query service: an HTTP/JSON front
 // end over a shared *beas.DB that executes queries through a bounded
-// worker pool and streams result rows as chunked JSON.
+// worker pool and streams result rows as NDJSON. A response is flushed
+// one row batch behind the executor: batch k goes out once batch k+1
+// exists. A one-batch answer is never flushed, so when it fits
+// net/http's 2 KiB response buffer it leaves in a single write with a
+// Content-Length; a longer answer streams.
 //
 // Its defining feature is bound-based admission control. BEAS deduces
 // the access bound of a query — how many tuples a bounded plan may fetch
@@ -18,7 +22,8 @@
 //
 //	POST /query   {"sql": "SELECT ..."}  → NDJSON stream: a header line
 //	              (columns, admission verdict, deduced bound), one line
-//	              of rows per batch, and a stats trailer.
+//	              of rows per batch, and a stats trailer or an error
+//	              line.
 //	POST /check   {"sql": "SELECT ..."}  → the BE Checker's verdict and
 //	              the admission decision, without executing anything.
 //	POST /explain {"sql": "SELECT ...", "analyze": bool} → the plan with
@@ -38,9 +43,12 @@
 //	              stream, with estimated-vs-actual counters).
 //	GET  /healthz → liveness plus row/constraint counts, uptime, WAL LSN
 //	              and last-snapshot age.
+//
+// Request bodies are read up to 1 MiB; a larger one is answered 413.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -338,22 +346,55 @@ type queryRequest struct {
 	SQL string `json:"sql"`
 }
 
-// readSQL extracts the statement from a JSON body or a "q" parameter.
-func readSQL(r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("q"); q != "" {
-		return q, nil
-	}
-	if r.Body == nil {
-		return "", errors.New("missing query")
+// readSQL extracts the statement from a "q" parameter or a JSON body.
+func readSQL(w http.ResponseWriter, r *http.Request) (string, error) {
+	if r.URL.RawQuery != "" {
+		if q := r.URL.Query().Get("q"); q != "" {
+			return q, nil
+		}
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return "", fmt.Errorf("decoding request body: %w", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		return "", err
 	}
 	if req.SQL == "" {
 		return "", errors.New("empty sql")
 	}
 	return req.SQL, nil
+}
+
+// maxBodyBytes caps a request body; a larger one is answered 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody unmarshals r's JSON body into v. The body is read through a
+// maxBodyBytes limit into a pooled buffer; an over-limit body yields an
+// error wrapping *http.MaxBytesError (see requestErrorStatus).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if r.Body == nil {
+		return errors.New("missing query")
+	}
+	bp := getBuf()
+	defer putBuf(bp)
+	buf := bytes.NewBuffer(*bp)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	*bp = buf.Bytes()
+	if err != nil {
+		return fmt.Errorf("reading request body: %w", err)
+	}
+	if err := json.Unmarshal(*bp, v); err != nil {
+		return fmt.Errorf("decoding request body: %w", err)
+	}
+	return nil
+}
+
+// requestErrorStatus is the status for a request that could not be read:
+// 413 for a body over maxBodyBytes, 400 otherwise.
+func requestErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // errorResponse is the JSON shape of every non-streaming error.
@@ -382,11 +423,6 @@ type queryHeader struct {
 	Bound uint64 `json:"bound,omitempty"`
 }
 
-// rowChunk is one NDJSON line of result rows.
-type rowChunk struct {
-	Rows [][]any `json:"rows"`
-}
-
 // stepJSON is the per-fetch-step breakdown in the stats trailer.
 type stepJSON struct {
 	Atom        string `json:"atom"`
@@ -411,14 +447,6 @@ type statsJSON struct {
 	Coverage float64 `json:"coverage,omitempty"`
 	// CacheHit marks an answer served from the semantic result cache.
 	CacheHit bool `json:"cacheHit,omitempty"`
-}
-
-type trailer struct {
-	Stats statsJSON `json:"stats"`
-}
-
-type streamError struct {
-	Error string `json:"error"`
 }
 
 func statsFrom(st *beas.Stats, rows int64) statsJSON {
@@ -462,6 +490,23 @@ func jsonRow(r beas.Row) []any {
 		}
 	}
 	return out
+}
+
+// chunkOutcome classifies a failed row-chunk write. An unencodable value
+// fails the query. Any other error is a write error: the client is gone.
+// With the request context already cancelled that is a deliberate
+// cancellation (client cancel, deadline) reported through the
+// connection; with a live context it is a plain disconnect.
+func chunkOutcome(ctx context.Context, err error) string {
+	var bad *unencodableError
+	switch {
+	case errors.As(err, &bad):
+		return outcomeFailed
+	case ctx.Err() != nil:
+		return outcomeCanceled
+	default:
+		return outcomeDisconnected
+	}
 }
 
 func canceled(err error) bool {
@@ -548,7 +593,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The trace starts before the request is even validated, so every
 	// response — malformed bodies and admission rejections included —
 	// carries the X-Beas-Trace-Id header when tracing is on.
-	sql, rerr := readSQL(r)
+	sql, rerr := readSQL(w, r)
 	ctx := r.Context()
 	if s.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -560,7 +605,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.tracer.Finish(tr)
 	if rerr != nil {
 		tr.ForceKeep()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: rerr.Error()})
+		writeJSON(w, requestErrorStatus(rerr), errorResponse{Error: rerr.Error()})
 		return
 	}
 	defer func() { s.m.latency.Observe(time.Since(start).Seconds()) }()
@@ -709,57 +754,6 @@ func (s *Server) failAcquire(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 }
 
-// ndjson writes the /query wire format: one header line, one line per
-// row chunk, then a stats trailer or an error line, flushing after each
-// line so rows reach the client as they are produced.
-type ndjson struct {
-	enc     *json.Encoder
-	flusher http.Flusher
-}
-
-func newNDJSON(w http.ResponseWriter) *ndjson {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	f, _ := w.(http.Flusher)
-	return &ndjson{enc: json.NewEncoder(w), flusher: f}
-}
-
-func (n *ndjson) flush() {
-	if n.flusher != nil {
-		n.flusher.Flush()
-	}
-}
-
-func (n *ndjson) header(h queryHeader) {
-	n.enc.Encode(h)
-	n.flush()
-}
-
-// chunk writes one line of rows, folding each row into hasher (when
-// capture is on) so the recorded hash covers exactly the bytes the
-// client saw; an encode error means the client is gone.
-func (n *ndjson) chunk(rows []beas.Row, hasher *obs.RowHash) error {
-	c := rowChunk{Rows: make([][]any, len(rows))}
-	for i, r := range rows {
-		c.Rows[i] = jsonRow(r)
-		if hasher != nil {
-			hasher.Add(c.Rows[i])
-		}
-	}
-	if err := n.enc.Encode(c); err != nil {
-		return err
-	}
-	n.flush()
-	return nil
-}
-
-func (n *ndjson) trailer(st statsJSON) {
-	n.enc.Encode(trailer{Stats: st})
-}
-
-func (n *ndjson) fail(err error) {
-	n.enc.Encode(streamError{Error: err.Error()})
-}
-
 // streamQuery executes the admitted statement through a streaming
 // cursor and writes the NDJSON response: header, row chunks, stats
 // trailer. start is when the request began (for latency-based slow-query
@@ -786,6 +780,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, stmt *b
 	}
 
 	out := newNDJSON(w)
+	defer out.close()
 	out.header(queryHeader{Columns: ri.Columns(), Admission: string(dec), Covered: st.Covered, Bound: st.Bound})
 
 	var hasher *obs.RowHash
@@ -793,42 +788,46 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, stmt *b
 		hasher = obs.NewRowHash()
 	}
 	var rows int64
-	for {
-		batch, err := ri.NextBatch()
-		if err != nil {
-			// Fold the partial execution stats in before flagging the
-			// outcome, so a /stats reader that sees the canceled/failed
-			// tick also sees the work that preceded it.
+	batch, err := ri.NextBatch()
+	for batch != nil {
+		if err := out.chunk(batch, hasher); err != nil {
+			// Stop pulling rows nobody will see.
 			ri.Close()
-			outcome := outcomeFailed
-			if canceled(err) {
-				outcome = outcomeCanceled
+			outcome := chunkOutcome(ctx, err)
+			if outcome != outcomeFailed {
+				// The batch went to a client that is gone: the rows written
+				// so far were never delivered in full and count as abandoned.
+				rows += int64(len(batch))
 			}
 			s.finishQuery(sql, outcome, ri.Stats(), rows, start, tr)
 			s.captureQuery(sql, string(dec), outcome, ri.Stats(), rows, hasher, 0, start, tr)
-			out.fail(err)
+			if outcome == outcomeFailed {
+				out.fail(err)
+			}
 			return false
-		}
-		if batch == nil {
-			break
 		}
 		rows += int64(len(batch))
-		if err := out.chunk(batch, hasher); err != nil {
-			// The client is gone; stop pulling rows it will never see. A
-			// write error with the request context already cancelled is a
-			// deliberate cancellation (client cancel, deadline) reported
-			// through the connection; with a live context it is a plain
-			// disconnect. Either way the rows written so far were never
-			// delivered in full and count as abandoned.
-			ri.Close()
-			outcome := outcomeDisconnected
-			if ctx.Err() != nil {
-				outcome = outcomeCanceled
-			}
-			s.finishQuery(sql, outcome, ri.Stats(), rows, start, tr)
-			s.captureQuery(sql, string(dec), outcome, ri.Stats(), rows, hasher, 0, start, tr)
-			return false
+		// Chunk k is flushed only once batch k+1 exists: a one-batch answer
+		// is never flushed, and a longer one streams one batch behind the
+		// executor.
+		batch, err = ri.NextBatch()
+		if batch != nil {
+			out.flush()
 		}
+	}
+	if err != nil {
+		// Fold the partial execution stats in before flagging the
+		// outcome, so a /stats reader that sees the canceled/failed tick
+		// also sees the work that preceded it.
+		ri.Close()
+		outcome := outcomeFailed
+		if canceled(err) {
+			outcome = outcomeCanceled
+		}
+		s.finishQuery(sql, outcome, ri.Stats(), rows, start, tr)
+		s.captureQuery(sql, string(dec), outcome, ri.Stats(), rows, hasher, 0, start, tr)
+		out.fail(err)
+		return false
 	}
 	ri.Close()
 	s.finishQuery(sql, outcomeOK, ri.Stats(), rows, start, tr)
@@ -887,7 +886,10 @@ func (s *Server) streamApprox(ctx context.Context, w http.ResponseWriter, stmt *
 	}
 	s.m.admitted.Add(1)
 	s.m.downgraded.Add(1)
+	// All rows are in hand, so nothing is flushed: the response leaves as
+	// net/http's buffer fills and when the handler returns.
 	out := newNDJSON(w)
+	defer out.close()
 	out.header(queryHeader{Columns: res.Columns, Admission: string(decideDowngrade), Covered: true, Bound: info.Bound})
 	var hasher *obs.RowHash
 	if s.capture != nil {
@@ -896,13 +898,13 @@ func (s *Server) streamApprox(ctx context.Context, w http.ResponseWriter, stmt *
 	for i := 0; i < len(res.Rows); i += 256 {
 		end := min(i+256, len(res.Rows))
 		if err := out.chunk(res.Rows[i:end], hasher); err != nil {
-			outcome := outcomeDisconnected
-			if ctx.Err() != nil {
-				outcome = outcomeCanceled
-			}
+			outcome := chunkOutcome(ctx, err)
 			s.finishQuery(sql, outcome, &res.Stats, int64(i), start, tr)
 			s.captureQuery(sql, string(decideDowngrade), outcome, &res.Stats, int64(i), hasher, coverage, start, tr)
-			return
+			if outcome == outcomeFailed {
+				out.fail(err)
+			}
+			return false
 		}
 	}
 	s.finishQuery(sql, outcomeOK, &res.Stats, int64(len(res.Rows)), start, tr)
@@ -935,9 +937,9 @@ type checkResponse struct {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	sql, err := readSQL(r)
+	sql, err := readSQL(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, requestErrorStatus(err), errorResponse{Error: err.Error()})
 		return
 	}
 	info, err := s.db.CheckContext(r.Context(), sql)
@@ -1018,10 +1020,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("q"); q != "" {
 		req.SQL = q
 		req.Analyze = r.URL.Query().Get("analyze") == "true"
-	} else if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			rerr = fmt.Errorf("decoding request body: %v", err)
-		}
+	} else {
+		rerr = decodeBody(w, r, &req)
 	}
 	if rerr == nil && req.SQL == "" {
 		rerr = errors.New("empty sql")
@@ -1037,7 +1037,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer s.tracer.Finish(tr)
 	if rerr != nil {
 		tr.ForceKeep()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: rerr.Error()})
+		writeJSON(w, requestErrorStatus(rerr), errorResponse{Error: rerr.Error()})
 		return
 	}
 	if s.explain(ctx, w, req, start, tr) && s.explain(ctx, w, req, start, tr) {
