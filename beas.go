@@ -65,13 +65,10 @@ type DB struct {
 	// default): plans then run the checker's own greedy derivation.
 	// Guarded by db.mu.
 	optzr *opt.Optimizer
-	// vecOff disables the columnar (vectorized) executors; the zero value
-	// means vectorized execution is ON. Guarded by db.mu.
-	vecOff bool
 	// batch is the columnar batch row capacity; 0 means the default
 	// (iter.BatchSize). Guarded by db.mu.
 	batch int
-	// execEpoch counts changes of the three settings above; prepared state
+	// execEpoch counts changes of the two settings above; prepared state
 	// (prepare.go) embeds them and is rebuilt when it moved. Guarded by
 	// db.mu.
 	execEpoch uint64
@@ -171,38 +168,17 @@ func (db *DB) OptimizerEnabled() bool {
 	return db.optzr != nil
 }
 
-// execConfigChangedLocked makes a changed optimizer, vectorization or
-// batch size take effect: plans and cached answers made under the old
-// settings are retired (template analyses stay valid) and the fallback
-// engine is rebuilt. Callers hold db.mu (write).
+// execConfigChangedLocked makes a changed optimizer or batch size take
+// effect: plans and cached answers made under the old settings are
+// retired (template analyses stay valid) and the fallback engine is
+// rebuilt. Callers hold db.mu (write).
 func (db *DB) execConfigChangedLocked() {
 	db.execEpoch++
 	db.qc.FlushResults()
-	db.fallback = engine.New(db.store, engine.ProfilePostgres).WithVectorized(!db.vecOff).WithBatchSize(db.batch)
+	db.fallback = engine.New(db.store, engine.ProfilePostgres).WithBatchSize(db.batch)
 	if db.optzr != nil {
 		db.fallback.WithStats(db.statsCat)
 	}
-}
-
-// SetVectorized turns columnar (vectorized) execution on or off (default
-// on). With it on, scans fill typed column vectors, simple comparison
-// filters run as tight per-column loops writing selection vectors, and
-// projection, aggregation, hash-join sides and the bounded executor's
-// fetch steps work batch-at-a-time on columns. Result bags, row order
-// and execution statistics are bit-identical either way — only speed
-// changes. In-flight queries keep the setting they started with.
-func (db *DB) SetVectorized(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.vecOff = !on
-	db.execConfigChangedLocked()
-}
-
-// VectorizedEnabled reports whether columnar execution is on.
-func (db *DB) VectorizedEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return !db.vecOff
 }
 
 // SetBatchSize sets the columnar batch row capacity for subsequent

@@ -309,12 +309,6 @@ func (h *harness) maint() {
 	fmt.Printf("  (a full rebuild would re-scan all %d call rows per update batch)\n", n)
 }
 
-// vector (E10): the vectorized execution micro-suite — the three operator
-// shapes the columnar executor targets (filter-heavy scan, hash-join
-// probe, grouped aggregate), run through the conventional engine where
-// the columnar scan, vectorized filters and columnar join/aggregate
-// tails engage. Run once with -novec to record BENCH_baseline.json and
-// once without for BENCH_columnar.json; cmd/benchgate compares the two.
 // vectorQueries are the E10 shapes: a selective scan, a join probe and a
 // grouped aggregate. The digest-overhead experiment (E12) times the same
 // shapes, so the two stay one list.
@@ -324,12 +318,13 @@ var vectorQueries = []struct{ name, sql string }{
 	{"agg-group", "SELECT region, COUNT(*) AS calls, SUM(duration) AS total_s, MAX(charge) AS top FROM call GROUP BY region"},
 }
 
+// vector (E10): the vectorized execution micro-suite — the three operator
+// shapes the columnar executor targets (filter-heavy scan, hash-join
+// probe, grouped aggregate), run through the conventional engine where
+// the columnar scan, vectorized filters and columnar join/aggregate
+// tails engage.
 func (h *harness) vector() {
-	mode := "vectorized"
-	if h.novec {
-		mode = "scalar (-novec)"
-	}
-	h.banner(fmt.Sprintf("E10: vectorized execution suite at scale %d — %s", h.scale, mode))
+	h.banner(fmt.Sprintf("E10: vectorized execution suite at scale %d", h.scale))
 	db := h.db(h.scale)
 	var rows [][]string
 	for _, q := range vectorQueries {
@@ -343,7 +338,6 @@ func (h *harness) vector() {
 			fmt.Sprintf("%d", res.Stats.TuplesScanned), fmt.Sprintf("%d", len(res.Rows))})
 	}
 	table([]string{"shape", "time (ms)", "scanned", "rows"}, rows)
-	fmt.Printf("  vectorized execution enabled: %v\n", db.VectorizedEnabled())
 }
 
 // cache (E11): the semantic result cache — cold first pass vs warm
@@ -363,9 +357,6 @@ func (h *harness) cache() {
 	// A fresh database, not h.db's shared one: the first pass must be
 	// genuinely cold, and other experiments must not have warmed it.
 	db := beas.MustNewTLCDB(h.scale)
-	if h.novec {
-		db.SetVectorized(false)
-	}
 	if h.rcache {
 		db.SetResultCache(true)
 	}
@@ -449,9 +440,6 @@ func (h *harness) digest() {
 	// A fresh database, not h.db's shared one: -digests must not leak a
 	// digest set into the off half of the comparison.
 	db := beas.MustNewTLCDB(h.scale)
-	if h.novec {
-		db.SetVectorized(false)
-	}
 	set := beas.NewDigestSet(128)
 
 	var rows [][]string

@@ -30,7 +30,6 @@ func main() {
 	runs := flag.Int("runs", 3, "timing repetitions (the minimum is reported)")
 	jsonOut := flag.String("json", "", "also write machine-readable per-experiment timings (name, scale, runs, ns/op, rows fetched) to this file")
 	jsonBase := flag.String("json-baseline", "", "write the digest experiment's digests-off timings to this file; with -json it forms the baseline/current pair cmd/benchgate compares")
-	noVec := flag.Bool("novec", false, "disable vectorized (columnar) execution; use to record the scalar baseline")
 	rcache := flag.Bool("rcache", false, "enable the semantic result cache on the benchmark databases; use to record the warm-cache run the cache experiment compares against")
 	digests := flag.Bool("digests", false, "enable workload digests on the benchmark databases; use to measure the digest layer's overhead against a digests-off run")
 	flag.Parse()
@@ -40,7 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "beasbench:", err)
 		os.Exit(2)
 	}
-	h := &harness{scale: *scale, scales: sc, runs: *runs, novec: *noVec, rcache: *rcache, digests: *digests}
+	h := &harness{scale: *scale, scales: sc, runs: *runs, rcache: *rcache, digests: *digests}
 	defer func() {
 		write := func(path string, recs []benchRecord) {
 			if path == "" {
@@ -100,7 +99,6 @@ type harness struct {
 	scale   int
 	scales  []int
 	runs    int
-	novec   bool
 	rcache  bool
 	digests bool
 
@@ -181,9 +179,6 @@ func (h *harness) db(scale int) *beas.DB {
 	}
 	fmt.Printf("  [generating TLC at scale %d ...]\n", scale)
 	db := beas.MustNewTLCDB(scale)
-	if h.novec {
-		db.SetVectorized(false)
-	}
 	if h.rcache {
 		db.SetResultCache(true)
 	}

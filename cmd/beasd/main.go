@@ -65,7 +65,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent query executions (default: GOMAXPROCS)")
 	optimizer := flag.Bool("optimizer", false, "enable the cost-based plan optimizer (statistics-driven fetch-step ordering and join planning; results are identical, admission bounds unchanged)")
 	batchSize := flag.Int("batch-size", 0, "columnar batch row capacity for vectorized execution (0 = default 256)")
-	noVec := flag.Bool("novec", false, "disable vectorized (columnar) execution; results are identical, only speed changes")
 	resultCache := flag.Bool("result-cache", false, "enable the semantic result cache: repeat covered queries (and syntactic variants) are served from fresh materialized answers, kept fresh incrementally under mutations; results are identical")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "byte budget of the result-cache answer tier (0 = default 64 MiB)")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "byte budget of the parsed-template (plan) cache tier (0 = default 16 MiB)")
@@ -105,9 +104,6 @@ func main() {
 	}
 	if *batchSize > 0 {
 		db.SetBatchSize(*batchSize)
-	}
-	if *noVec {
-		db.SetVectorized(false)
 	}
 	if *resultCacheBytes > 0 || *planCacheBytes > 0 {
 		db.SetResultCacheLimits(*planCacheBytes, *resultCacheBytes)

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/bounded-eval/beas/internal/analyze"
 	"github.com/bounded-eval/beas/internal/exec"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/sqlparser"
 	"github.com/bounded-eval/beas/internal/value"
 )
@@ -220,7 +222,7 @@ func oracle(t *testing.T, db *DB, sql string) []value.Row {
 		}
 	}
 	rec(0, nil)
-	out, err := exec.Finish(q, joined, layout)
+	out, _, err := iter.Collect(exec.Stream(q, iter.FromRows(joined, nil), layout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +311,11 @@ func TestRandomizedCrossEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomizedApproxSubset checks on random covered queries that
-// budgeted approximation always returns a subset of the exact answer and
-// reaches exactness when the budget suffices.
+// TestRandomizedApproxSubset checks on random covered queries, at
+// budgets 1, M/4, M/2 and M for the deduced bound M, that budgeted
+// approximation never fetches more than its budget, always returns a
+// subset of the exact answer, and at budget M returns Query's rows in
+// Query's order with coverage 1.
 func TestRandomizedApproxSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	db := randomDB(t, rng)
@@ -331,13 +335,25 @@ func TestRandomizedApproxSubset(t *testing.T) {
 		for _, r := range exact.Rows {
 			exactSet[value.Key(r)]++
 		}
-		for _, budget := range []int64{1, 5, 20, 1 << 40} {
+		m := int64(min(info.Bound, math.MaxInt64))
+		for _, budget := range []int64{1, max(m/4, 1), max(m/2, 1), max(m, 1)} {
 			res, cov, err := db.QueryApprox(sql, budget)
 			if err != nil {
 				t.Fatalf("QueryApprox(%q, %d): %v", sql, budget, err)
 			}
+			if res.Stats.TuplesFetched > budget {
+				t.Fatalf("budget %d on %q fetched %d tuples", budget, sql, res.Stats.TuplesFetched)
+			}
 			if cov >= 1 && !equalBags(bag(res.Rows), bag(exact.Rows)) {
 				t.Fatalf("coverage 1 must mean exact: %q", sql)
+			}
+			if budget >= m {
+				if cov != 1 {
+					t.Fatalf("budget %d ≥ M on %q: coverage %v, want 1", budget, sql, cov)
+				}
+				if !slices.Equal(outcomeOf(res, nil).rows, outcomeOf(exact, nil).rows) {
+					t.Fatalf("budget %d ≥ M on %q: rows differ from Query's, in content or order", budget, sql)
+				}
 			}
 			// Subset check only for non-aggregate queries: truncated
 			// aggregates produce rows with smaller counts, which are

@@ -1,27 +1,54 @@
-package approx
+package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"github.com/bounded-eval/beas/internal/access"
 	"github.com/bounded-eval/beas/internal/analyze"
-	"github.com/bounded-eval/beas/internal/core"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/schema"
 	"github.com/bounded-eval/beas/internal/sqlparser"
 	"github.com/bounded-eval/beas/internal/storage"
 	"github.com/bounded-eval/beas/internal/value"
 )
 
-type env struct {
+// budgetResult is one budgeted run: the answer, the coverage and the
+// per-step coverage fractions the Budget derived, and the tuples fetched.
+type budgetResult struct {
+	Rows         []value.Row
+	Coverage     float64
+	Exact        bool
+	Fetched      int64
+	StepCoverage []float64
+}
+
+// runBudget runs p through the pipeline under a budget of n tuples.
+func runBudget(p *Plan, n int64) (*budgetResult, error) {
+	b := NewBudget(n)
+	it, st := StreamContext(context.Background(), p, b)
+	rows, _, err := iter.Collect(it)
+	if err != nil {
+		return nil, err
+	}
+	res := &budgetResult{Rows: rows, Coverage: b.Coverage(), Fetched: st.Fetched}
+	res.Exact = res.Coverage >= 1
+	for _, s := range b.steps {
+		res.StepCoverage = append(res.StepCoverage, s.coverage())
+	}
+	return res, nil
+}
+
+type budgetEnv struct {
 	db    *schema.Database
 	store *storage.Store
 	as    *access.Schema
 }
 
-// newEnv builds call(pnum, recnum, region) with 10 pnums × 8 recnums and
-// a pnum -> {recnum, region} constraint.
-func newEnv(t *testing.T) *env {
+// newBudgetEnv builds call(pnum, recnum, region) with 10 pnums × 8
+// recnums and a pnum -> {recnum, region} constraint.
+func newBudgetEnv(t *testing.T) *budgetEnv {
 	t.Helper()
 	db, err := schema.NewDatabase(
 		schema.MustRelation("call",
@@ -33,7 +60,7 @@ func newEnv(t *testing.T) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &env{db: db, store: storage.NewStore(db)}
+	e := &budgetEnv{db: db, store: storage.NewStore(db)}
 	tab := e.store.MustTable("call")
 	for p := int64(0); p < 10; p++ {
 		for r := int64(0); r < 8; r++ {
@@ -51,7 +78,7 @@ func newEnv(t *testing.T) *env {
 	return e
 }
 
-func (e *env) plan(t *testing.T, sql string) *core.Plan {
+func (e *budgetEnv) plan(t *testing.T, sql string) *Plan {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -61,20 +88,20 @@ func (e *env) plan(t *testing.T, sql string) *core.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := core.Check(q, e.as)
+	chk := Check(q, e.as)
 	if !chk.Covered {
 		t.Fatalf("not covered: %s", chk.Reason)
 	}
-	p, err := core.NewPlan(q, chk)
+	p, err := NewPlan(q, chk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-const sql = "SELECT recnum FROM call WHERE pnum IN (1, 2, 3)"
+const budgetSQL = "SELECT recnum FROM call WHERE pnum IN (1, 2, 3)"
 
-func keys(rows []value.Row) []string {
+func rowKeys(rows []value.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		out[i] = value.Key(r)
@@ -84,20 +111,20 @@ func keys(rows []value.Row) []string {
 }
 
 func TestExactWhenBudgetSuffices(t *testing.T) {
-	e := newEnv(t)
-	p := e.plan(t, sql)
-	exact, _, err := core.Run(p)
+	e := newBudgetEnv(t)
+	p := e.plan(t, budgetSQL)
+	exact, _, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, 1000)
+	res, err := runBudget(p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact || res.Coverage != 1 {
 		t.Errorf("exact run: %+v", res)
 	}
-	ek, ak := keys(exact), keys(res.Rows)
+	ek, ak := rowKeys(exact), rowKeys(res.Rows)
 	if len(ek) != len(ak) {
 		t.Fatalf("exact %d vs approx %d rows", len(ek), len(ak))
 	}
@@ -109,9 +136,9 @@ func TestExactWhenBudgetSuffices(t *testing.T) {
 }
 
 func TestSubsetUnderBudget(t *testing.T) {
-	e := newEnv(t)
-	p := e.plan(t, sql)
-	exact, _, err := core.Run(p)
+	e := newBudgetEnv(t)
+	p := e.plan(t, budgetSQL)
+	exact, _, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +147,7 @@ func TestSubsetUnderBudget(t *testing.T) {
 		exactSet[value.Key(r)] = true
 	}
 	for _, budget := range []int64{1, 4, 8, 12, 16, 23} {
-		res, err := Run(p, budget)
+		res, err := runBudget(p, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,12 +169,12 @@ func TestSubsetUnderBudget(t *testing.T) {
 }
 
 func TestCoverageMonotoneInBudget(t *testing.T) {
-	e := newEnv(t)
-	p := e.plan(t, sql)
+	e := newBudgetEnv(t)
+	p := e.plan(t, budgetSQL)
 	prevCov := -1.0
 	prevRows := -1
 	for _, budget := range []int64{1, 4, 8, 16, 24, 100} {
-		res, err := Run(p, budget)
+		res, err := runBudget(p, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,17 +190,17 @@ func TestCoverageMonotoneInBudget(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	e := newEnv(t)
-	p := e.plan(t, sql)
-	a, err := Run(p, 13)
+	e := newBudgetEnv(t)
+	p := e.plan(t, budgetSQL)
+	a, err := runBudget(p, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(p, 13)
+	b, err := runBudget(p, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka, kb := keys(a.Rows), keys(b.Rows)
+	ka, kb := rowKeys(a.Rows), rowKeys(b.Rows)
 	if len(ka) != len(kb) || a.Coverage != b.Coverage {
 		t.Fatal("approximation is not deterministic")
 	}
@@ -181,17 +208,6 @@ func TestDeterminism(t *testing.T) {
 		if ka[i] != kb[i] {
 			t.Fatal("approximation rows differ across runs")
 		}
-	}
-}
-
-func TestBadBudget(t *testing.T) {
-	e := newEnv(t)
-	p := e.plan(t, sql)
-	if _, err := Run(p, 0); err == nil {
-		t.Error("budget 0 should be rejected")
-	}
-	if _, err := Run(p, -5); err == nil {
-		t.Error("negative budget should be rejected")
 	}
 }
 
@@ -229,16 +245,16 @@ func TestMultiStepCoverageProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := core.Check(q, as)
+	chk := Check(q, as)
 	if !chk.Covered {
 		t.Fatalf("not covered: %s", chk.Reason)
 	}
-	p, err := core.NewPlan(q, chk)
+	p, err := NewPlan(q, chk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Budget 6: step 1 fetches all 4 a-tuples, step 2 only 2 of 4 keys.
-	res, err := Run(p, 6)
+	res, err := runBudget(p, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

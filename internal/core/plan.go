@@ -44,10 +44,9 @@ type Plan struct {
 	Layout *analyze.Layout
 	// Check is the checker verdict the plan was generated from.
 	Check *CheckResult
-	// Vectorized selects the columnar executor: fetch steps append
-	// extended rows into column vectors (no per-output row allocation) and
-	// the relational tail runs its vectorized stages. Results are
-	// identical to the row executor.
+	// Vectorized is ignored: fetch steps always run columnar.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Vectorized bool
 	// BatchSize is the columnar batch row capacity (≤ 0 = default).
 	BatchSize int

@@ -74,7 +74,7 @@ func Run(p *Plan) ([]value.Row, *Stats, error) {
 // halts the fetch loops at the next batch boundary and returns ctx's
 // error; the stats then reflect only the work actually performed.
 func RunContext(ctx context.Context, p *Plan) ([]value.Row, *Stats, error) {
-	it, st := StreamContext(ctx, p)
+	it, st := StreamContext(ctx, p, nil)
 	rows, _, err := iter.Collect(it)
 	if err != nil {
 		return nil, st, err
@@ -82,28 +82,30 @@ func RunContext(ctx context.Context, p *Plan) ([]value.Row, *Stats, error) {
 	return rows, st, nil
 }
 
-// Stream builds the bounded plan's pull pipeline and returns an iterator
-// over the final result rows. Each fetch step is a streaming operator
-// extending batches of weighted intermediate rows through its constraint
-// index; the relational tail (internal/exec) pulls from the last step, so
-// a LIMIT k query stops probing the indices after k rows. Statistics
-// accrue in st while the iterator is consumed and are final once it is
-// exhausted or closed.
-func Stream(p *Plan) (iter.Iterator, *Stats) {
-	return StreamContext(context.Background(), p)
-}
-
-// StreamContext is Stream under a context. Every fetch step checks the
-// context before filling a batch, so a cancelled pipeline stops probing
-// the constraint indices mid-flight — even when a blocking downstream
-// stage (aggregation, ORDER BY) is draining it in a tight loop.
-func StreamContext(ctx context.Context, p *Plan) (iter.Iterator, *Stats) {
+// StreamContext builds the bounded plan's pull pipeline and returns an
+// iterator over the final result rows. Each fetch step is a streaming
+// operator extending batches of weighted intermediate rows through its
+// constraint index; the relational tail (internal/exec) pulls from the
+// last step, so a LIMIT k query stops probing the indices after k rows.
+// Statistics accrue in st while the iterator is consumed and are final
+// once it is exhausted or closed.
+//
+// Every fetch step checks ctx before filling a batch, so a cancelled
+// pipeline stops probing the constraint indices mid-flight — even when a
+// blocking downstream stage (aggregation, ORDER BY) is draining it in a
+// tight loop. A non-nil budget caps the tuples the steps fetch (see
+// Budget); nil fetches everything the plan asks for.
+func StreamContext(ctx context.Context, p *Plan, budget *Budget) (iter.Iterator, *Stats) {
 	start := time.Now()
 	st := &Stats{}
 	if p.Check.EmptyGuaranteed {
 		return iter.OnClose(iter.Empty(), func() { st.Duration = time.Since(start) }), st
 	}
 	q, layout := p.Query, p.Layout
+	batch := p.BatchSize
+	if batch <= 0 {
+		batch = iter.BatchSize
+	}
 
 	// The intermediate relation starts as a single all-NULL row of the
 	// final width; fetch steps fill slots in. Each row carries a weight:
@@ -114,41 +116,85 @@ func StreamContext(ctx context.Context, p *Plan) (iter.Iterator, *Stats) {
 	if p.CollectKeys {
 		st.StepKeys = make([][]string, len(p.Steps))
 	}
-	stepKeysSink := func(i int) *[]string {
-		if p.CollectKeys {
-			return &st.StepKeys[i]
-		}
-		return nil
-	}
-
-	probeFor := func(i int) probe {
+	cur := iter.ColFromRows([]value.Row{make(value.Row, layout.Len())}, nil, layout.Len(), batch)
+	for i := range p.Steps {
 		step := &p.Steps[i]
 		st.Steps[i] = statFor(q, step)
-		return probe{step: step, layout: layout, ss: &st.Steps[i], fetched: &st.Fetched, keys: stepKeysSink(i)}
+		pr := probe{step: step, layout: layout, ss: &st.Steps[i], fetched: &st.Fetched}
+		if p.CollectKeys {
+			pr.keys = &st.StepKeys[i]
+		}
+		if budget != nil {
+			pr.budget, pr.bstep = budget, len(budget.steps)
+			budget.steps = append(budget.steps, budgetStep{})
+		}
+		cur = &colStepOp{probe: pr, ctx: ctx, in: cur, batch: batch}
 	}
-	var out iter.Iterator
-	if p.Vectorized {
-		batch := p.BatchSize
-		if batch <= 0 {
-			batch = iter.BatchSize
-		}
-		cur := iter.ColFromRows([]value.Row{make(value.Row, layout.Len())}, nil, layout.Len(), batch)
-		for i := range p.Steps {
-			cur = &colStepOp{probe: probeFor(i), ctx: ctx, in: cur, batch: batch}
-		}
-		out = iter.Counted(execTail(ctx, exec.StreamCol(q, cur, layout), start), &st.RowsOut)
-	} else {
-		cur := iter.FromRows([]value.Row{make(value.Row, layout.Len())}, nil)
-		for i := range p.Steps {
-			cur = &stepOp{probe: probeFor(i), ctx: ctx, in: cur}
-		}
-		out = iter.Counted(execTail(ctx, exec.Stream(q, cur, layout), start), &st.RowsOut)
-	}
+	out := iter.Counted(execTail(ctx, exec.StreamCol(q, cur, layout), start), &st.RowsOut)
 	out = iter.WithContext(ctx, out)
 	return iter.OnClose(out, func() {
 		st.Duration = time.Since(start)
 		emitStepSpans(ctx, start, st)
 	}), st
+}
+
+// Budget is a fetch budget shared by every step of one run — and by
+// every UNION branch of a statement: the paper's resource-bounded mode
+// (§3), which runs the bounded plan fetching at most B tuples, B below
+// the deduced bound M, and returns a subset of the exact answer with a
+// deterministic accuracy lower bound. The paper defers its scheme to a
+// later publication; this is a simplified deterministic instantiation
+// with the same contract.
+//
+// Scheme. A step probing a key it has not seen fetches the key's bucket
+// while budget is left, truncated to what remains, and is charged the
+// truncated size. A key reached with no budget left is skipped: it is
+// memoised as empty and charged the constraint's worst-case N, because
+// its bucket was never read. Per step, the tuples relevant are the full
+// bucket of every fetched key plus N per skipped key, and the step's
+// coverage f_i is fetched / relevant. Coverage is Π f_i.
+//
+// Soundness under depth-first spending. The pipeline spends the budget
+// in the order rows stream through the steps, not step by step, so any
+// step may run out first; the argument does not depend on the order.
+// Step i's keys are those of the rows that reached it — the fetched
+// subset of the earlier steps' data. Of the data relevant to those keys
+// it reads at least the fraction f_i: a skipped key's charge N is at
+// least its real bucket. Every answer row is derived from tuples the
+// run read, so the answer is a subset of the exact answer (for a query
+// without aggregates), and the fraction of the relevant data it was
+// computed from is at least Π f_i. The schedule is a pure function of
+// the plan, the data and B, so Coverage is deterministic, and B ≥ M
+// truncates and skips nothing: Coverage 1, and rows identical, in order,
+// to the unbudgeted run.
+type Budget struct {
+	left  int64
+	steps []budgetStep // one per fetch step, in pipeline build order
+}
+
+// budgetStep is one fetch step's accounting under a budget.
+type budgetStep struct{ fetched, relevant int64 }
+
+// coverage is the step's f_i: 1 for a step that saw no key.
+func (s budgetStep) coverage() float64 {
+	if s.relevant == 0 {
+		return 1
+	}
+	return float64(s.fetched) / float64(s.relevant)
+}
+
+// NewBudget returns a budget of n tuples for one run.
+func NewBudget(n int64) *Budget { return &Budget{left: n} }
+
+// Coverage is the run's accuracy lower bound η ∈ [0, 1]: 1 means no
+// bucket was truncated and no key skipped, so the answer is exact.
+// Final once the run's iterators are exhausted or closed.
+func (b *Budget) Coverage() float64 {
+	c := 1.0
+	for _, s := range b.steps {
+		c *= s.coverage()
+	}
+	return c
 }
 
 // wBucket is one memoised index bucket: distinct partial tuples with
@@ -181,15 +227,16 @@ func releaseMemo(m *map[string]wBucket) {
 	*m = nil
 }
 
-// probe is the part of a fetch step both operators share: the step's
-// key enumeration and its memoised index probe, with the statistics and
-// the probed-key sink it feeds.
+// probe is a fetch step's key enumeration and its memoised index probe,
+// with the statistics, the probed-key sink and the budget it feeds.
 type probe struct {
 	step    *PlanStep
 	layout  *analyze.Layout
 	ss      *StepStat
 	fetched *int64
 	keys    *[]string // when non-nil, collects each distinct probed key
+	budget  *Budget   // when non-nil, caps the run's fetches
+	bstep   int       // this step's index into budget.steps
 
 	memo map[string]wBucket
 	key  []value.Value
@@ -211,7 +258,32 @@ func (p *probe) bucket(enc []byte) wBucket {
 		return b
 	}
 	ks := string(enc)
+	if p.budget != nil {
+		return p.spend(ks)
+	}
 	rows, counts, n := p.step.Index.FetchWeightedEncoded(ks)
+	return p.keep(ks, rows, counts, n)
+}
+
+// spend is bucket for a key first seen under a budget: fetch and
+// truncate while budget is left, else skip the key (see Budget).
+func (p *probe) spend(ks string) wBucket {
+	acct := &p.budget.steps[p.bstep]
+	if p.budget.left <= 0 {
+		acct.relevant += int64(p.step.Constraint.N)
+		p.memo[ks] = wBucket{}
+		return wBucket{}
+	}
+	rows, counts, n := p.step.Index.FetchWeightedEncoded(ks)
+	use := int(min(int64(n), p.budget.left))
+	p.budget.left -= int64(use)
+	acct.fetched += int64(use)
+	acct.relevant += int64(n)
+	return p.keep(ks, rows[:use], counts[:use], use)
+}
+
+// keep memoises the n fetched tuples of key ks and counts the fetch.
+func (p *probe) keep(ks string, rows []value.Row, counts []int64, n int) wBucket {
 	b := wBucket{rows: rows, counts: counts}
 	p.memo[ks] = b
 	p.ss.DistinctKey++
@@ -283,77 +355,13 @@ func stepKeys(step *PlanStep, row value.Row, key []value.Value, kb *[]byte, comp
 	return fn(*kb)
 }
 
-// stepOp executes one fetch step as a streaming operator: for every
-// weighted input row it enumerates the step's key candidates, probes the
-// constraint index (each distinct key exactly once, memoised — the
-// dedup-key semantics of the deduced bound), and emits the extended rows
-// that pass the step's filters.
-type stepOp struct {
-	probe
-	ctx context.Context
-	in  iter.Iterator
-
-	buf    iter.Batch
-	pos    int
-	outRow value.Row // output row under construction, cloned per emission
-	done   bool
-}
-
-func (s *stepOp) Open() error {
-	s.open()
-	s.outRow = make(value.Row, s.layout.Len())
-	return s.in.Open()
-}
-
-func (s *stepOp) Close() error {
-	s.done = true // the memo is gone: a late Next reports exhaustion
-	s.close()
-	return s.in.Close()
-}
-
-func (s *stepOp) Next(b *iter.Batch) (bool, error) {
-	// Record self time only: the pull into upstream steps is timed by
-	// those steps, so the per-step breakdown stays disjoint (Fig. 3).
-	t0 := time.Now()
-	var upstream time.Duration
-	defer func() { s.ss.Duration += time.Since(t0) - upstream }()
-	if err := s.ctx.Err(); err != nil {
-		return false, err
-	}
-	b.Reset()
-	// Every emitted row is a fresh allocation: batches hand rows out by
-	// reference, and emitted rows are never written again.
-	emit := func(out value.Row, w int64) { b.Append(out.Clone(), w) }
-	for b.Len() < iter.BatchSize && !s.done {
-		if s.pos >= s.buf.Len() {
-			u0 := time.Now()
-			ok, err := s.in.Next(&s.buf)
-			upstream += time.Since(u0)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				s.done = true
-				break
-			}
-			s.pos = 0
-			continue
-		}
-		row, w := s.buf.Rows[s.pos], s.buf.Weight(s.pos)
-		s.pos++
-		if err := s.extend(row, s.outRow, w, emit); err != nil {
-			return false, err
-		}
-	}
-	s.ss.RowsOut += int64(b.Len())
-	return b.Len() > 0, nil
-}
-
-// colStepOp is the columnar fetch step: it pulls batches of intermediate
-// rows as column vectors, probes the constraint index through the same
-// probe as stepOp, and appends extended rows into the output batch's
-// columns through one reused scratch row — no per-output row allocation.
-// Emission order, filters and weights match stepOp exactly.
+// colStepOp executes one fetch step as a streaming operator: it pulls
+// batches of intermediate rows as column vectors, enumerates each row's
+// key candidates, probes the constraint index (each distinct key exactly
+// once, memoised — the dedup-key semantics of the deduced bound), and
+// appends the extended rows that pass the step's filters into the output
+// batch's columns through one reused scratch row — no per-output row
+// allocation.
 type colStepOp struct {
 	probe
 	ctx   context.Context
@@ -384,6 +392,8 @@ func (s *colStepOp) Close() error {
 }
 
 func (s *colStepOp) NextCols(b *iter.ColBatch) (bool, error) {
+	// Record self time only: the pull into upstream steps is timed by
+	// those steps, so the per-step breakdown stays disjoint (Fig. 3).
 	t0 := time.Now()
 	var upstream time.Duration
 	defer func() { s.ss.Duration += time.Since(t0) - upstream }()

@@ -28,7 +28,7 @@ func execTail(ctx context.Context, out iter.Iterator, start time.Time) iter.Iter
 
 // emitStepSpans files a bounded execution's per-step statistics as
 // trace spans under the context's current span. Step durations are
-// self-times (disjoint per step, see stepOp.Next); the spans' start
+// self-times (disjoint per step, see colStepOp.NextCols); the spans' start
 // times all anchor at the pipeline start, since streaming steps
 // interleave rather than run back to back. Attrs carry the full
 // estimated-vs-actual breakdown: the a-priori worst-case bounds, the

@@ -151,12 +151,6 @@ type Engine struct {
 	// and OpStats carry the estimates. nil keeps the historical planner
 	// byte-for-byte (the baseline profiles always run without it).
 	stats *stats.Catalog
-	// vec enables columnar scans, vectorized filters and the columnar
-	// relational tail / hash-join sides. On by default; WithVectorized
-	// (false) forces the scalar row pipeline everywhere. Results are
-	// identical either way. Profiles with MaterializeRows stay scalar —
-	// they emulate per-row record unpacking by construction.
-	vec bool
 	// batch is the row capacity of columnar batches (iter.BatchSize by
 	// default); the row pipeline keeps the constant.
 	batch int
@@ -164,15 +158,16 @@ type Engine struct {
 
 // New creates an engine over store with the given profile.
 func New(store *storage.Store, prof Profile) *Engine {
-	return &Engine{store: store, prof: prof, vec: true, batch: iter.BatchSize}
+	return &Engine{store: store, prof: prof, batch: iter.BatchSize}
 }
 
-// WithVectorized enables or disables columnar execution and returns the
-// engine. Call at construction time only.
-func (e *Engine) WithVectorized(on bool) *Engine {
-	e.vec = on
-	return e
-}
+// WithVectorized returns the engine unchanged. Scans, filters, hash-join
+// sides and the relational tail run columnar exactly when the profile
+// does not set MaterializeRows, whose per-row record copy is the
+// behaviour being emulated.
+//
+// Deprecated: kept only so existing callers compile.
+func (e *Engine) WithVectorized(bool) *Engine { return e }
 
 // WithBatchSize sets the columnar batch row capacity and returns the
 // engine (n ≤ 0 keeps the default). Call at construction time only.
@@ -481,7 +476,7 @@ func (e *Engine) scanAtom(ctx context.Context, q *analyze.Query, ai int, applied
 	// so the projected layout materialises everything the filters read.
 	// MaterializeRows profiles keep the row scan — their per-row record
 	// copy is the behaviour being emulated.
-	if e.vec && !e.prof.MaterializeRows {
+	if !e.prof.MaterializeRows {
 		colLayout := analyze.NewLayout()
 		for _, c := range cols {
 			colLayout.Add(c)

@@ -109,17 +109,15 @@ func (e *Engine) join(q *analyze.Query, left, right *unit, applied []bool, track
 	switch algo {
 	case HashJoin:
 		h := &hashJoinOp{joinBase: base}
-		if e.vec {
-			// Columnar sides, when the units expose them: build keys
-			// encode column-at-a-time and probe rows materialise only on a
-			// bucket hit. Open/Close stay on the row views, which share
-			// the underlying operators.
-			pu, bu := left, right
-			if swap {
-				pu, bu = right, left
-			}
-			h.cprobe, h.cbuild = pu.cit, bu.cit
+		// Columnar sides, when the units expose them: build keys encode
+		// column-at-a-time and probe rows materialise only on a bucket
+		// hit. Open/Close stay on the row views, which share the
+		// underlying operators.
+		pu, bu := left, right
+		if swap {
+			pu, bu = right, left
 		}
+		h.cprobe, h.cbuild = pu.cit, bu.cit
 		merged.it = h
 	case SortMergeJoin:
 		merged.it = &sortMergeJoinOp{joinBase: base}

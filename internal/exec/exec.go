@@ -10,9 +10,6 @@
 // stream; aggregation holds only its groups and sorting is the single
 // stage that must materialise. A LIMIT k query without ORDER BY
 // therefore stops pulling from the join pipeline after k rows.
-//
-// Finish and FinishWeighted are the materialising wrappers over Stream
-// for callers that already hold the full intermediate relation.
 package exec
 
 import (
@@ -24,23 +21,6 @@ import (
 	"github.com/bounded-eval/beas/internal/sqlparser"
 	"github.com/bounded-eval/beas/internal/value"
 )
-
-// Finish applies the relational tail of q (projection or aggregation,
-// DISTINCT, HAVING, ORDER BY, LIMIT/OFFSET) to the joined intermediate
-// rows and returns the final result rows.
-func Finish(q *analyze.Query, rows []value.Row, layout *analyze.Layout) ([]value.Row, error) {
-	return FinishWeighted(q, rows, nil, layout)
-}
-
-// FinishWeighted is Finish for weighted intermediate rows: weights[i]
-// says how many identical base-row combinations rows[i] stands for. The
-// bounded executor produces weighted rows because constraint indices
-// store only distinct partial tuples; the weights restore SQL bag
-// semantics. A nil weights slice means all weights are 1.
-func FinishWeighted(q *analyze.Query, rows []value.Row, weights []int64, layout *analyze.Layout) ([]value.Row, error) {
-	out, _, err := iter.Collect(Stream(q, iter.FromRows(rows, weights), layout))
-	return out, err
-}
 
 // Stream composes the relational tail of q over an iterator of joined
 // intermediate rows. The returned iterator yields final result rows
@@ -543,18 +523,4 @@ func SortRows(rows []value.Row, keys []analyze.OrderSpec) error {
 		return false
 	})
 	return sortErr
-}
-
-// Clip applies OFFSET then LIMIT.
-func Clip(rows []value.Row, limit, offset *int) []value.Row {
-	if offset != nil {
-		if *offset >= len(rows) {
-			return nil
-		}
-		rows = rows[*offset:]
-	}
-	if limit != nil && *limit < len(rows) {
-		rows = rows[:*limit]
-	}
-	return rows
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/bounded-eval/beas/internal/analyze"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/schema"
 	"github.com/bounded-eval/beas/internal/sqlparser"
 	"github.com/bounded-eval/beas/internal/value"
@@ -44,14 +45,21 @@ func fixture(t *testing.T, sql string) (*analyze.Query, *analyze.Layout, []value
 	return q, layout, rows
 }
 
-func run(t *testing.T, sql string) []value.Row {
+// collect runs the relational tail of q over weighted rows (nil weights
+// are all 1) and returns the final result rows.
+func collect(t *testing.T, q *analyze.Query, rows []value.Row, weights []int64, layout *analyze.Layout) []value.Row {
 	t.Helper()
-	q, layout, rows := fixture(t, sql)
-	out, err := Finish(q, rows, layout)
+	out, _, err := iter.Collect(Stream(q, iter.FromRows(rows, weights), layout))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+func run(t *testing.T, sql string) []value.Row {
+	t.Helper()
+	q, layout, rows := fixture(t, sql)
+	return collect(t, q, rows, nil, layout)
 }
 
 func TestProjection(t *testing.T) {
@@ -63,7 +71,7 @@ func TestProjection(t *testing.T) {
 
 func TestProjectionExpression(t *testing.T) {
 	out := run(t, "SELECT v * 10 + 1 FROM t WHERE v = 2")
-	// Finish does not evaluate WHERE (that's the executor's job), so all
+	// The tail does not evaluate WHERE (that's the executor's job), so all
 	// rows flow through; check the expression only.
 	if out[1][0].I != 21 {
 		t.Errorf("expression output = %v", out[1][0])
@@ -103,10 +111,7 @@ func sumFixture(t *testing.T, vals []int64, weights []int64) value.Value {
 	for i, v := range vals {
 		rows[i] = value.Row{value.NewString("g"), value.NewInt(v), value.NewFloat(0)}
 	}
-	out, err := FinishWeighted(q, rows, weights, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := collect(t, q, rows, weights, layout)
 	if len(out) != 1 || len(out[0]) != 1 {
 		t.Fatalf("out = %v", out)
 	}
@@ -202,10 +207,7 @@ func TestAvgMinMax(t *testing.T) {
 
 func TestEmptyInputAggregate(t *testing.T) {
 	q, layout, _ := fixture(t, "SELECT COUNT(*), SUM(v), MIN(v) FROM t")
-	out, err := Finish(q, nil, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := collect(t, q, nil, nil, layout)
 	if len(out) != 1 {
 		t.Fatalf("empty aggregate must produce one row, got %d", len(out))
 	}
@@ -216,10 +218,7 @@ func TestEmptyInputAggregate(t *testing.T) {
 
 func TestEmptyInputGroupedAggregate(t *testing.T) {
 	q, layout, _ := fixture(t, "SELECT g, COUNT(*) FROM t GROUP BY g")
-	out, err := Finish(q, nil, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := collect(t, q, nil, nil, layout)
 	if len(out) != 0 {
 		t.Errorf("grouped aggregate over empty input must be empty, got %v", out)
 	}
@@ -247,18 +246,17 @@ func TestOrderByNullsFirstAsc(t *testing.T) {
 	}
 }
 
+// TestClip checks the LIMIT/OFFSET stage: OFFSET applies first, an
+// offset past the end yields nothing, and no clause passes all rows.
 func TestClip(t *testing.T) {
-	rows := []value.Row{{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)}}
-	lim, off := 2, 1
-	if got := Clip(rows, &lim, &off); len(got) != 2 || got[0][0].I != 2 {
-		t.Errorf("Clip = %v", got)
+	if got := run(t, "SELECT v FROM t LIMIT 2 OFFSET 1"); len(got) != 2 || got[0][0].I != 2 {
+		t.Errorf("LIMIT 2 OFFSET 1 = %v", got)
 	}
-	bigOff := 99
-	if got := Clip(rows, nil, &bigOff); got != nil {
-		t.Errorf("Clip past end = %v", got)
+	if got := run(t, "SELECT v FROM t OFFSET 99"); len(got) != 0 {
+		t.Errorf("OFFSET past end = %v", got)
 	}
-	if got := Clip(rows, nil, nil); len(got) != 3 {
-		t.Errorf("Clip nil/nil = %v", got)
+	if got := run(t, "SELECT v FROM t"); len(got) != 5 {
+		t.Errorf("no LIMIT/OFFSET = %v", got)
 	}
 }
 

@@ -296,6 +296,12 @@ func TestApproxDowngrade(t *testing.T) {
 	if got, want := res.stats.Coverage, 0.1; got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("coverage = %v, want %v", got, want)
 	}
+	if len(res.stats.FetchSteps) == 0 {
+		t.Error("trailer carries no fetchSteps")
+	}
+	if got := res.stats.TuplesFetched; got > 100 {
+		t.Errorf("trailer tuplesFetched = %d, over the approximation budget 100", got)
+	}
 	if st := s.Stats(); st.Downgraded != 1 {
 		t.Errorf("downgraded = %d, want 1", st.Downgraded)
 	}

@@ -177,7 +177,7 @@ func (db *DB) buildPreparedLocked(ctx context.Context, t *qcache.Template, greed
 			if err != nil {
 				return nil, err
 			}
-			plan.Vectorized, plan.BatchSize = !db.vecOff, db.batch
+			plan.BatchSize = db.batch
 			b.plan = plan
 			for si := range plan.Steps {
 				b.tables = append(b.tables, table(q.Atoms[plan.Steps[si].Atom]))
@@ -192,6 +192,9 @@ func (db *DB) buildPreparedLocked(ctx context.Context, t *qcache.Template, greed
 			pp, err := core.NewPartialPlan(q, chk)
 			if err != nil {
 				return nil, err
+			}
+			if pp.Sub != nil {
+				pp.Sub.BatchSize = db.batch
 			}
 			b.partial = pp
 			desc = pp.Describe(q)
@@ -271,7 +274,7 @@ func (st *Stmt) CheckInfo() *CheckInfo {
 
 // QueryContext executes the statement like DB.QueryContext.
 func (st *Stmt) QueryContext(ctx context.Context) (*Result, error) {
-	return st.db.query(ctx, st, true)
+	return st.db.query(ctx, st, true, nil)
 }
 
 // QueryIterContext executes the statement like DB.QueryIterContext.

@@ -383,14 +383,12 @@ func TestSharedPlanUnderConcurrency(t *testing.T) {
 					return
 				default:
 				}
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
-					db.SetVectorized(i%2 == 0)
+					db.SetBatchSize(8 << (i / 4 % 4))
 				case 1:
-					db.SetBatchSize(8 << (i % 4))
+					db.SetOptimizer(i/4%2 == 0)
 				case 2:
-					db.SetOptimizer(i%4 == 2)
-				case 3:
 					if _, err := db.Retighten(); err != nil {
 						t.Error(err)
 					}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/bounded-eval/beas/internal/analyze"
-	"github.com/bounded-eval/beas/internal/approx"
 	"github.com/bounded-eval/beas/internal/core"
 	"github.com/bounded-eval/beas/internal/engine"
 	"github.com/bounded-eval/beas/internal/exec"
@@ -183,7 +182,7 @@ func (db *DB) Query(sql string) (*Result, error) {
 // and returns ctx's error. The statistics of a cancelled query reflect
 // only the work actually performed.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.query(ctx, &Stmt{db: db, sql: sql}, true)
+	return db.query(ctx, &Stmt{db: db, sql: sql}, true, nil)
 }
 
 // QueryBounded evaluates sql with a bounded plan only, failing when the
@@ -194,11 +193,11 @@ func (db *DB) QueryBounded(sql string) (*Result, error) {
 
 // QueryBoundedContext is QueryBounded under a context.
 func (db *DB) QueryBoundedContext(ctx context.Context, sql string) (*Result, error) {
-	return db.query(ctx, &Stmt{db: db, sql: sql}, false)
+	return db.query(ctx, &Stmt{db: db, sql: sql}, false, nil)
 }
 
-// run is one execution of a statement by Query, QueryBounded or
-// QueryIter, from begin to end: the resolved statement, the answer
+// run is one execution of a statement by Query, QueryBounded, QueryIter
+// or QueryApprox, from begin to end: the resolved statement, the answer
 // stream's per-branch executor statistics and, for a storing run, the
 // answer itself.
 type run struct {
@@ -209,6 +208,10 @@ type run struct {
 	tmpl   *qcache.Template
 	pr     *prepared
 	start  time.Time
+	// budget, when non-nil, caps the tuples every branch of an
+	// approximation fetches, together. Such a run neither reads nor
+	// writes the result cache: its answer may be partial.
+	budget *core.Budget
 	// res is the Result the statistics accrue in; nil until the answer
 	// stream exists, i.e. for an execution that failed before it ran.
 	res *Result
@@ -253,7 +256,7 @@ func (db *DB) beginLocked(ctx context.Context, st *Stmt, r *run) (err error) {
 		return err
 	}
 	r.start = time.Now()
-	if !db.qc.ResultsEnabled() {
+	if !db.qc.ResultsEnabled() || r.budget != nil {
 		return nil
 	}
 	_, sp := obs.StartSpan(ctx, "cache")
@@ -278,10 +281,10 @@ func (r *run) plan(b *branch) *core.Plan {
 	return &keyed
 }
 
-// begin opens one execution of st for Query, QueryBounded and QueryIter:
-// under a trace and the catalog read lock it resolves st and returns the
-// answer stream (pipelineLocked) — or, on a result-cache hit, no stream
-// and r.res holding the stored answer. On success the caller owns the
+// begin opens one execution of st for Query, QueryBounded, QueryIter
+// and QueryApprox: under a trace and the catalog read lock it resolves st
+// and returns the answer stream (pipelineLocked) — or, on a result-cache
+// hit, no stream and r.res holding the stored answer. On success the caller owns the
 // lock and the trace until r.end; on failure begin has already ended r,
 // so the failure is in the workload digests exactly once.
 func (db *DB) begin(ctx context.Context, st *Stmt, allowFallback bool, r *run) (it iter.Iterator, err error) {
@@ -290,7 +293,11 @@ func (db *DB) begin(ctx context.Context, st *Stmt, allowFallback bool, r *run) (
 		db.observe(r, err)
 		return nil, err
 	}
-	ctx, r.finish = db.startTrace(ctx, "query", st.sql)
+	root := "query"
+	if r.budget != nil {
+		root = "approx"
+	}
+	ctx, r.finish = db.startTrace(ctx, root, st.sql)
 	db.mu.RLock()
 	opened := false
 	defer func() {
@@ -335,7 +342,7 @@ func (db *DB) pipelineLocked(ctx context.Context, r *run) (iter.Iterator, error)
 		rb := ranBranch{b: &branches[i]}
 		if rb.b.plan != nil {
 			rb.plan = r.plan(rb.b)
-			it, rb.st = core.StreamContext(ctx, rb.plan)
+			it, rb.st = core.StreamContext(ctx, rb.plan, r.budget)
 		} else {
 			var err error
 			if it, rb.st, rb.eng, err = core.StreamPartialContext(ctx, rb.b.partial, rb.b.q, db.fallback); err != nil {
@@ -476,11 +483,12 @@ func (db *DB) storeLocked(r *run, ran []ranBranch) {
 	})
 }
 
-// query is the evaluation core behind Query/QueryBounded: it collects
-// the answer stream begin builds — the same one QueryIter's cursor pulls
-// from — into a Result.
-func (db *DB) query(ctx context.Context, st *Stmt, allowFallback bool) (res *Result, err error) {
-	r := &run{}
+// query is the evaluation core behind Query, QueryBounded and
+// QueryApprox: it collects the answer stream begin builds — the same one
+// QueryIter's cursor pulls from — into a Result, under budget when it is
+// non-nil.
+func (db *DB) query(ctx context.Context, st *Stmt, allowFallback bool, budget *core.Budget) (res *Result, err error) {
+	r := &run{budget: budget}
 	it, err := db.begin(ctx, st, allowFallback, r)
 	if err != nil {
 		return nil, err
@@ -544,7 +552,7 @@ func (db *DB) QueryBaselineContext(ctx context.Context, sql string, baseline Bas
 	}
 	p := tmpl.Parsed.(*parsed)
 	start := time.Now()
-	eng := engine.New(db.store, prof).WithVectorized(!db.vecOff).WithBatchSize(db.batch)
+	eng := engine.New(db.store, prof).WithBatchSize(db.batch)
 	res := &Result{Columns: p.branches[0].OutputNames(), Stats: Stats{Mode: ModeConventional}}
 	var rows []value.Row
 	for i, q := range p.branches {
@@ -570,60 +578,33 @@ func (db *DB) QueryBaselineContext(ctx context.Context, sql string, baseline Bas
 
 // QueryApprox evaluates a covered query under a budget on the number of
 // tuples fetched, returning a subset of the exact answer and a
-// deterministic accuracy lower bound (coverage ∈ [0,1]; 1 = exact).
+// deterministic accuracy lower bound (coverage ∈ [0,1]; 1 = exact). The
+// budget is positive and shared by all UNION branches: TuplesFetched ≤
+// budget. A budget at least the deduced bound returns exactly Query's
+// rows, in Query's order, with coverage 1. The result cache is neither
+// consulted nor filled.
 func (db *DB) QueryApprox(sql string, budget int64) (*Result, float64, error) {
 	return db.QueryApproxContext(context.Background(), sql, budget)
 }
 
 // QueryApproxContext is QueryApprox under a context: cancellation halts
-// the budgeted fetch loop and returns ctx's error. Like Query, it runs
-// under a trace (parse / check / optimize spans) and honors the
-// cost-based optimizer's step ordering.
+// the budgeted fetch steps and returns ctx's error. It runs the plan
+// Query runs — under a trace, with the cost-based optimizer's step
+// ordering — with the budget as a stop condition.
 func (db *DB) QueryApproxContext(ctx context.Context, sql string, budget int64) (*Result, float64, error) {
 	return db.queryApprox(ctx, &Stmt{db: db, sql: sql}, budget)
 }
 
-func (db *DB) queryApprox(ctx context.Context, st *Stmt, budget int64) (res *Result, coverage float64, err error) {
-	r := &run{sql: st.sql, called: time.Now()}
-	defer func() { db.observe(r, err) }()
-	if err := ctx.Err(); err != nil {
+func (db *DB) queryApprox(ctx context.Context, st *Stmt, budget int64) (*Result, float64, error) {
+	if budget <= 0 {
+		return nil, 0, fmt.Errorf("beas: approximation budget must be positive, got %d", budget)
+	}
+	b := core.NewBudget(budget)
+	res, err := db.query(ctx, st, false, b)
+	if err != nil {
 		return nil, 0, err
 	}
-	ctx, finish := db.startTrace(ctx, "approx", st.sql)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if r.tmpl, r.pr, err = db.resolveLocked(ctx, st); err != nil {
-		return nil, 0, err
-	}
-	tmpl, pr := r.tmpl, r.pr
-	if !pr.info.Covered {
-		return nil, 0, fmt.Errorf("beas: approximation requires a covered query: %s", pr.info.Reason)
-	}
-	unionAll := tmpl.Parsed.(*parsed).unionAll
-	start := time.Now()
-	res = &Result{Columns: pr.columns, Stats: Stats{Mode: ModeBounded, Covered: true, Optimized: pr.stats.Optimized, Bound: pr.stats.Bound, Fingerprint: tmpl.Fingerprint}}
-	coverage = 1.0
-	remaining := budget
-	var rows []value.Row
-	for i := range pr.branches {
-		ar, err := approx.RunContext(ctx, pr.branches[i].plan, max(remaining, 1))
-		if err != nil {
-			return nil, 0, err
-		}
-		remaining -= ar.Fetched
-		coverage *= ar.Coverage
-		res.Stats.TuplesFetched += ar.Fetched
-		if i > 0 && !unionAll[i] {
-			rows = exec.Dedup(append(rows, ar.Rows...))
-		} else {
-			rows = append(rows, ar.Rows...)
-		}
-	}
-	res.Rows = rows
-	res.Stats.Duration = time.Since(start)
-	r.res, r.rowsOut = res, int64(len(rows))
-	return res, coverage, nil
+	return res, b.Coverage(), nil
 }
 
 // Explain returns a human-readable description of how Query would

@@ -9,14 +9,15 @@ import (
 	"github.com/bounded-eval/beas/internal/value"
 )
 
-// The columnar executor must be a pure performance change: with
-// vectorized execution on and off, every query must produce the same
-// error status, the same result bag IN THE SAME ORDER, and the same
-// execution statistics (modes, bounds, per-step and per-operator work
-// counters, estimates — everything except durations). This file checks
-// that differentially over the randomized corpus and a fixed set of
-// NULL / NaN / overflow regression queries, with the optimizer on and
-// off.
+// The columnar executors' batch capacity must be a pure performance
+// knob: at batch sizes 256 (the default), 7 and 1, every query must
+// produce the same error status, the same result bag IN THE SAME ORDER,
+// and the same execution statistics (modes, bounds, per-step and
+// per-operator work counters, estimates — everything except durations).
+// This file checks that differentially over the randomized corpus and a
+// fixed set of NULL / NaN / overflow regression queries, with the
+// optimizer on and off, and cross-checks the default executors against
+// the nested-loop oracle.
 
 // semantics-heavy regression queries: Kleene three-valued logic, NaN
 // total order, int64 overflow promotion, weighted DISTINCT and fused
@@ -32,8 +33,8 @@ var vecRegressionSQL = []string{
 	"SELECT DISTINCT r.b, s.e FROM r, s WHERE r.b = s.b AND r.a IN (0,2,4,6)",
 }
 
-// vecOutcome is everything about a query run that must not depend on the
-// vectorized setting: error status, the ordered row stream and the
+// vecOutcome is everything about a query run that must not depend on an
+// execution setting: error status, the ordered row stream and the
 // duration-free execution statistics.
 type vecOutcome struct {
 	failed bool
@@ -65,28 +66,67 @@ func outcomeOf(res *Result, err error) vecOutcome {
 	return o
 }
 
+// diff describes how other (b) differs from o (a); "" when it does not.
 func (o vecOutcome) diff(other vecOutcome) string {
 	if o.failed != other.failed {
-		return fmt.Sprintf("error status: vec=%v scalar=%v", o.failed, other.failed)
+		return fmt.Sprintf("error status: a=%v b=%v", o.failed, other.failed)
 	}
 	if o.failed {
 		return "" // both error; identity of the error may differ
 	}
 	if len(o.rows) != len(other.rows) {
-		return fmt.Sprintf("row count: vec=%d scalar=%d", len(o.rows), len(other.rows))
+		return fmt.Sprintf("row count: a=%d b=%d", len(o.rows), len(other.rows))
 	}
 	for i := range o.rows {
 		if o.rows[i] != other.rows[i] {
-			return fmt.Sprintf("row %d differs (order or content):\nvec    = %q\nscalar = %q", i, o.rows[i], other.rows[i])
+			return fmt.Sprintf("row %d differs (order or content):\na = %q\nb = %q", i, o.rows[i], other.rows[i])
 		}
 	}
 	if o.stats != other.stats {
-		return fmt.Sprintf("stats differ:\nvec:\n%s\nscalar:\n%s", o.stats, other.stats)
+		return fmt.Sprintf("stats differ:\na:\n%s\nb:\n%s", o.stats, other.stats)
 	}
 	return ""
 }
 
-func TestVectorizedScalarEquivalence(t *testing.T) {
+// diffBatchSizes runs one execution at batch sizes 256, 7 and 1 and
+// reports the first size whose outcome differs from 256's.
+func diffBatchSizes(db *DB, run func() vecOutcome) string {
+	defer db.SetBatchSize(0)
+	var want vecOutcome
+	for i, n := range []int{0, 7, 1} {
+		db.SetBatchSize(n)
+		got := run()
+		if i == 0 {
+			want = got
+		} else if d := want.diff(got); d != "" {
+			return fmt.Sprintf("batch %d vs 256: %s", n, d)
+		}
+	}
+	return ""
+}
+
+// iterOutcome drains QueryIter(sql) into an outcome with the cursor's
+// statistics.
+func iterOutcome(db *DB, sql string) vecOutcome {
+	ri, err := db.QueryIter(sql)
+	if err != nil {
+		return vecOutcome{failed: true}
+	}
+	var rows []Row
+	for {
+		batch, err := ri.NextBatch()
+		if err != nil {
+			return vecOutcome{failed: true}
+		}
+		if batch == nil {
+			break
+		}
+		rows = append(rows, batch...)
+	}
+	return outcomeOf(&Result{Rows: rows, Stats: *ri.Stats()}, nil)
+}
+
+func TestBatchSizeEquivalence(t *testing.T) {
 	const databases = 3
 	for d := 0; d < databases; d++ {
 		rng := rand.New(rand.NewSource(int64(7000 + d)))
@@ -98,15 +138,11 @@ func TestVectorizedScalarEquivalence(t *testing.T) {
 			corpus = append(corpus, randomSQL(rng))
 		}
 
-		// Conventional baselines are serial and ignore the optimizer, so
-		// compare them once per query.
+		// Conventional baselines ignore the optimizer, so compare them
+		// once per query.
 		for _, sql := range corpus {
 			for _, base := range []Baseline{BaselinePostgres, BaselineMySQL, BaselineMariaDB} {
-				db.SetVectorized(true)
-				vres, verr := db.QueryBaseline(sql, base)
-				db.SetVectorized(false)
-				sres, serr := db.QueryBaseline(sql, base)
-				if d := outcomeOf(vres, verr).diff(outcomeOf(sres, serr)); d != "" {
+				if d := diffBatchSizes(db, func() vecOutcome { return outcomeOf(db.QueryBaseline(sql, base)) }); d != "" {
 					t.Fatalf("baseline %s diverges on %q: %s", base, sql, d)
 				}
 			}
@@ -115,56 +151,23 @@ func TestVectorizedScalarEquivalence(t *testing.T) {
 		for _, optimizer := range []bool{false, true} {
 			db.SetOptimizer(optimizer)
 			for _, sql := range corpus {
-				db.SetVectorized(true)
-				vres, verr := db.Query(sql)
-				db.SetVectorized(false)
-				sres, serr := db.Query(sql)
-				if d := outcomeOf(vres, verr).diff(outcomeOf(sres, serr)); d != "" {
+				if d := diffBatchSizes(db, func() vecOutcome { return outcomeOf(db.Query(sql)) }); d != "" {
 					t.Fatalf("Query(%q) optimizer=%v: %s", sql, optimizer, d)
 				}
 			}
 		}
 
-		// The streaming cursor path (QueryIter); check the ordered stream
-		// too.
+		// The streaming cursor path (QueryIter): the ordered stream and
+		// the statistics the cursor reports.
 		db.SetOptimizer(false)
 		for i, sql := range corpus {
 			if i%4 != 0 {
 				continue
 			}
-			var got [2][]string
-			for vi, vec := range []bool{true, false} {
-				db.SetVectorized(vec)
-				ri, err := db.QueryIter(sql)
-				if err != nil {
-					got[vi] = []string{"open-error"}
-					continue
-				}
-				for {
-					rows, err := ri.NextBatch()
-					if err != nil {
-						got[vi] = append(got[vi], "iter-error")
-						break
-					}
-					if rows == nil {
-						break
-					}
-					for _, r := range rows {
-						got[vi] = append(got[vi], value.Key(r))
-					}
-				}
-				ri.Close()
-			}
-			if len(got[0]) != len(got[1]) {
-				t.Fatalf("QueryIter(%q): vec streamed %d rows, scalar %d", sql, len(got[0]), len(got[1]))
-			}
-			for j := range got[0] {
-				if got[0][j] != got[1][j] {
-					t.Fatalf("QueryIter(%q) row %d: vec=%q scalar=%q", sql, j, got[0][j], got[1][j])
-				}
+			if d := diffBatchSizes(db, func() vecOutcome { return iterOutcome(db, sql) }); d != "" {
+				t.Fatalf("QueryIter(%q): %s", sql, d)
 			}
 		}
-		db.SetVectorized(true)
 	}
 }
 
