@@ -181,7 +181,11 @@ func joinStrings(parts []string, sep string) string {
 }
 
 // oracle evaluates the query by brute-force nested loops over the base
-// tables, independently of both executors' join machinery.
+// tables: every conjunct is evaluated row by row with the scalar
+// evaluator over the full cross product. It is independent of both
+// executors' scans, vectorized filters, join operators, constraint
+// indices and planners; only the relational tail (exec.StreamCol over
+// the joined rows) is shared with them.
 func oracle(t *testing.T, db *DB, sql string) []value.Row {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
@@ -222,7 +226,7 @@ func oracle(t *testing.T, db *DB, sql string) []value.Row {
 		}
 	}
 	rec(0, nil)
-	out, _, err := iter.Collect(exec.Stream(q, iter.FromRows(joined, nil), layout))
+	out, _, err := iter.Collect(exec.StreamCol(q, iter.ColFromRows(joined, nil, layout.Len(), 0), layout))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // at a time: simple comparisons (column vs constant, column vs column)
 // and IS [NOT] NULL tests run as tight per-column loops, everything else
 // — and any batch whose column kinds the fast loops do not cover — falls
-// back to the scalar row evaluator, so three-valued logic, overflow
-// promotion, NaN ordering and error behaviour stay identical to the row
-// pipeline.
+// back to the scalar row evaluator (EvalBool), so three-valued logic,
+// overflow promotion, NaN ordering and error behaviour stay identical to
+// evaluating the conjunction row by row.
 //
 // The compiled filter assumes the batch's column j holds the value of
 // layout slot j (the scan layout convention).
@@ -133,7 +133,7 @@ func cmpPass(op sqlparser.BinOp, cmp int) bool {
 
 // Apply refines cb's selection vector to the rows passing every
 // predicate, in predicate order (a row failing predicate k is never
-// evaluated under predicate k+1, matching the row pipeline's
+// evaluated under predicate k+1, matching a row-by-row conjunction's
 // short-circuit).
 func (f *VecFilter) Apply(cb *iter.ColBatch) error {
 	for i := range f.preds {

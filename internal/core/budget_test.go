@@ -113,7 +113,7 @@ func rowKeys(rows []value.Row) []string {
 func TestExactWhenBudgetSuffices(t *testing.T) {
 	e := newBudgetEnv(t)
 	p := e.plan(t, budgetSQL)
-	exact, _, err := Run(p)
+	exact, _, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestExactWhenBudgetSuffices(t *testing.T) {
 func TestSubsetUnderBudget(t *testing.T) {
 	e := newBudgetEnv(t)
 	p := e.plan(t, budgetSQL)
-	exact, _, err := Run(p)
+	exact, _, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -206,7 +207,7 @@ func TestCheckContradictionShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, st, err := Run(plan)
+	rows, st, err := RunContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRunExample2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, st, err := Run(plan)
+	rows, st, err := RunContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestRunDedupsKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, st, err := Run(plan)
+	rows, st, err := RunContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestRunAggregatesOnBoundedCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := Run(plan)
+	rows, _, err := RunContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestEmptyXConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := Run(plan)
+	rows, _, err := RunContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,21 +77,16 @@ func NewPartialPlan(q *analyze.Query, chk *CheckResult) (*PartialPlan, error) {
 	return pp, nil
 }
 
-// StreamPartial executes the partially bounded plan: the bounded
+// StreamPartialContext executes the partially bounded plan: the bounded
 // sub-plan first, eagerly, through the constraint indices (its size is
 // bounded by the access schema, so materialising it is exactly the cost
 // the checker promised), then the conventional engine streams the join of
 // the materialised source with scans of the remaining atoms. The returned
 // stats separate fetched tuples (bounded part, final on return) from
 // scanned tuples (conventional part, accruing while the iterator is
-// consumed).
-func StreamPartial(pp *PartialPlan, q *analyze.Query, eng *engine.Engine) (iter.Iterator, *Stats, *engine.Stats, error) {
-	return StreamPartialContext(context.Background(), pp, q, eng)
-}
-
-// StreamPartialContext is StreamPartial under a context: the eager
-// bounded sub-plan observes ctx while it materialises, and the streaming
-// conventional part observes it per batch.
+// consumed). The eager bounded sub-plan observes ctx while it
+// materialises, and the streaming conventional part observes it per
+// batch.
 func StreamPartialContext(ctx context.Context, pp *PartialPlan, q *analyze.Query, eng *engine.Engine) (iter.Iterator, *Stats, *engine.Stats, error) {
 	var sources []engine.Source
 	st := &Stats{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // are final.
 func drainPartial(t *testing.T, pp *PartialPlan, q *analyze.Query, eng *engine.Engine) ([]value.Row, *Stats, *engine.Stats) {
 	t.Helper()
-	it, st, engStats, err := StreamPartial(pp, q, eng)
+	it, st, engStats, err := StreamPartialContext(context.Background(), pp, q, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPartialPlanExecution(t *testing.T) {
 		t.Errorf("scanned = %d, want 4 call rows", engStats.Scanned)
 	}
 	// Agreement with the pure conventional plan.
-	convRows, _, err := eng.Run(q)
+	convRows, _, err := eng.RunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestPartialPreservesWeights(t *testing.T) {
 	}
 	eng := engine.New(e.store, engine.ProfilePostgres)
 	rows, _, _ := drainPartial(t, pp, q, eng)
-	convRows, _, err := eng.Run(q)
+	convRows, _, err := eng.RunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

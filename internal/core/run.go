@@ -63,16 +63,12 @@ type Stats struct {
 	StepKeys [][]string
 }
 
-// Run executes a bounded plan and returns the result rows and execution
-// statistics. All data access goes through the constraint indices'
-// fetch operation; the plan never scans a base relation.
-func Run(p *Plan) ([]value.Row, *Stats, error) {
-	return RunContext(context.Background(), p)
-}
-
-// RunContext is Run under a context: cancellation or deadline expiry
-// halts the fetch loops at the next batch boundary and returns ctx's
-// error; the stats then reflect only the work actually performed.
+// RunContext executes a bounded plan and returns the result rows and
+// execution statistics. All data access goes through the constraint
+// indices' fetch operation; the plan never scans a base relation.
+// Cancellation or deadline expiry halts the fetch loops at the next
+// batch boundary and returns ctx's error; the stats then reflect only
+// the work actually performed.
 func RunContext(ctx context.Context, p *Plan) ([]value.Row, *Stats, error) {
 	it, st := StreamContext(ctx, p, nil)
 	rows, _, err := iter.Collect(it)

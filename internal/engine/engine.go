@@ -2,23 +2,32 @@
 // cost-based planner (filter pushdown, join ordering) over batched
 // streaming scans, with hash, sort-merge and nested-loop joins.
 //
-// Execution is a pull pipeline of iterator operators (internal/iter):
-// scans stream batches of base rows through filters and projections,
-// joins materialise only their build side and stream the probe side, and
-// the relational tail (internal/exec) pulls from the root. Intermediate
-// relations are therefore never materialised wholesale — a LIMIT query
-// without ORDER BY stops the scans after enough rows.
+// Execution is a pull pipeline with one batch protocol: every operator
+// is an iter.ColIterator. Scans fill column vectors straight from
+// storage and run pushed-down filters as selection loops, joins
+// materialise only their build side and stream the probe side batch by
+// batch, residual conjuncts refine selection vectors, and the relational
+// tail (exec.StreamCol) pulls column batches from the root and projects
+// them to rows. Intermediate relations are therefore never materialised
+// wholesale — a LIMIT query without ORDER BY stops the scans after
+// enough rows.
 //
 // The engine plays two roles from the paper:
 //
 //   - the "underlying DBMS" that executes non-covered (sub-)queries, and
 //   - the commercial comparators (PostgreSQL / MySQL / MariaDB) of the
 //     demo's evaluation, emulated by three profiles that differ in join
-//     algorithm, join-ordering strategy and scan/projection behaviour.
-//     The emulation preserves the property under study — conventional
-//     plans read Θ(|D|) data, so their cost grows linearly with the
-//     database — and the relative ordering of the three systems observed
-//     in the paper (PostgreSQL fastest, MySQL slowest).
+//     algorithm (hash or sort-merge), join-ordering strategy (dynamic
+//     programming or greedy) and projection pushdown (PostgreSQL narrows
+//     scans to the attributes the query uses; MySQL and MariaDB carry
+//     full-width tuples through the plan). The emulation preserves the
+//     property under study — conventional plans read Θ(|D|) data, so
+//     their cost grows linearly with the database — and PostgreSQL is
+//     the fastest of the three, as in the paper. On TLC Q1 (2-vCPU
+//     host) PostgreSQL took 2.3–2.6 ms at scale 5 and 16–19 ms at scale
+//     20, MySQL 23–27 and 78–89 ms, MariaDB 26–30 and 77–85 ms: MySQL and
+//     MariaDB are within about 10 % of each other, so the paper's "MySQL
+//     slowest" is not reproduced reliably.
 package engine
 
 import (
@@ -86,10 +95,6 @@ type Profile struct {
 	// the query uses; otherwise scans carry full-width tuples through the
 	// plan (the redundancy the paper's feature (2) eliminates).
 	ProjectionPushdown bool
-	// MaterializeRows, when set, copies each scanned record before
-	// evaluating pushed-down filters, emulating engines that unpack the
-	// full stored record per row.
-	MaterializeRows bool
 }
 
 // The three baseline profiles used in the paper's evaluation, plus the
@@ -100,10 +105,10 @@ var (
 	ProfilePostgres = Profile{Name: "postgresql", Join: HashJoin, Order: OrderDP, ProjectionPushdown: true}
 	// ProfileMariaDB emulates MariaDB: greedy ordering, hash joins,
 	// full-width tuples.
-	ProfileMariaDB = Profile{Name: "mariadb", Join: HashJoin, Order: OrderGreedy, MaterializeRows: true}
+	ProfileMariaDB = Profile{Name: "mariadb", Join: HashJoin, Order: OrderGreedy}
 	// ProfileMySQL emulates MySQL: greedy ordering, sort-merge joins,
 	// full-width tuples.
-	ProfileMySQL = Profile{Name: "mysql", Join: SortMergeJoin, Order: OrderGreedy, MaterializeRows: true}
+	ProfileMySQL = Profile{Name: "mysql", Join: SortMergeJoin, Order: OrderGreedy}
 )
 
 // OpStat records one physical operator's work, for the per-operation
@@ -151,8 +156,8 @@ type Engine struct {
 	// and OpStats carry the estimates. nil keeps the historical planner
 	// byte-for-byte (the baseline profiles always run without it).
 	stats *stats.Catalog
-	// batch is the row capacity of columnar batches (iter.BatchSize by
-	// default); the row pipeline keeps the constant.
+	// batch is the row capacity of the column batches every operator
+	// produces (iter.BatchSize by default).
 	batch int
 }
 
@@ -161,10 +166,8 @@ func New(store *storage.Store, prof Profile) *Engine {
 	return &Engine{store: store, prof: prof, batch: iter.BatchSize}
 }
 
-// WithVectorized returns the engine unchanged. Scans, filters, hash-join
-// sides and the relational tail run columnar exactly when the profile
-// does not set MaterializeRows, whose per-row record copy is the
-// behaviour being emulated.
+// WithVectorized returns the engine unchanged: every operator, from the
+// scans to the relational tail, runs on column batches.
 //
 // Deprecated: kept only so existing callers compile.
 func (e *Engine) WithVectorized(bool) *Engine { return e }
@@ -200,23 +203,20 @@ type Source struct {
 	Name  string
 }
 
-// unit is an intermediate relation during join planning: an iterator
-// that will produce its rows plus the metadata the planner needs.
+// unit is an intermediate relation during join planning: the operator
+// that will produce its column batches (column j holds layout slot j)
+// plus the metadata the planner needs.
 type unit struct {
 	atoms  map[int]bool
 	cols   []analyze.ColID
 	layout *analyze.Layout
-	it     iter.Iterator
-	// cit, when non-nil, is the columnar view of the same operator it
-	// wraps (never both consumed: exactly one view of a unit is opened
-	// and pulled). Joins and filters that only understand rows clear it.
-	cit  iter.ColIterator
-	est  float64
-	name string
+	cit    iter.ColIterator
+	est    float64
+	name   string
 }
 
-func newUnit(name string, atoms []int, cols []analyze.ColID, it iter.Iterator, est float64) *unit {
-	u := &unit{atoms: make(map[int]bool), cols: cols, it: it, layout: analyze.NewLayout(), name: name, est: est}
+func newUnit(name string, atoms []int, cols []analyze.ColID, cit iter.ColIterator, est float64) *unit {
+	u := &unit{atoms: make(map[int]bool), cols: cols, cit: cit, layout: analyze.NewLayout(), name: name, est: est}
 	for _, a := range atoms {
 		u.atoms[a] = true
 	}
@@ -235,28 +235,10 @@ func (u *unit) hasAtoms(refs []int) bool {
 	return true
 }
 
-// Run plans and executes the query with streaming scans for every atom.
-func (e *Engine) Run(q *analyze.Query) ([]value.Row, *Stats, error) {
-	return e.RunWithSources(q, nil)
-}
-
-// RunWithSources is Run with some atoms replaced by pre-materialised
-// sources (partially bounded evaluation).
-func (e *Engine) RunWithSources(q *analyze.Query, sources []Source) ([]value.Row, *Stats, error) {
-	it, st, err := e.Stream(q, sources)
-	if err != nil {
-		return nil, st, err
-	}
-	rows, _, err := iter.Collect(it)
-	if err != nil {
-		return nil, st, err
-	}
-	return rows, st, nil
-}
-
-// RunContext is Run under a context: cancellation or deadline expiry
-// halts the scans — and with them any join build or sort drain pulling
-// from them — at the next batch boundary.
+// RunContext plans and executes the query with streaming scans for every
+// atom. Cancellation or deadline expiry halts the scans — and with them
+// any join build or sort drain pulling from them — at the next batch
+// boundary.
 func (e *Engine) RunContext(ctx context.Context, q *analyze.Query) ([]value.Row, *Stats, error) {
 	it, st, err := e.StreamContext(ctx, q, nil)
 	if err != nil {
@@ -269,19 +251,18 @@ func (e *Engine) RunContext(ctx context.Context, q *analyze.Query) ([]value.Row,
 	return rows, st, nil
 }
 
-// Stream plans the query and returns a pull iterator over the final
-// result rows. Statistics accrue in st while the iterator is consumed
-// and are final once it is exhausted or closed; closing early (LIMIT)
-// abandons the rest of the pipeline without executing it.
-func (e *Engine) Stream(q *analyze.Query, sources []Source) (iter.Iterator, *Stats, error) {
-	return e.StreamContext(context.Background(), q, sources)
-}
-
-// StreamContext is Stream under a context. Every scan checks the
-// context before producing a batch, which propagates cancellation into
-// the blocking loops that pull from scans (hash-join builds, sort-merge
-// drains, aggregation folds) — a cancelled conventional plan stops
-// reading the database mid-join rather than at the next result row.
+// StreamContext plans the query, with some atoms replaced by
+// pre-materialised sources (partially bounded evaluation), and returns a
+// pull iterator over the final result rows. Statistics accrue in st
+// while the iterator is consumed and are final once it is exhausted or
+// closed; closing early (LIMIT) abandons the rest of the pipeline
+// without executing it.
+//
+// Every scan checks ctx before producing a batch, which propagates
+// cancellation into the blocking loops that pull from scans (hash-join
+// builds, sort-merge drains, aggregation folds) — a cancelled
+// conventional plan stops reading the database mid-join rather than at
+// the next result row.
 func (e *Engine) StreamContext(ctx context.Context, q *analyze.Query, sources []Source) (iter.Iterator, *Stats, error) {
 	start := time.Now()
 	st := &Stats{}
@@ -294,7 +275,7 @@ func (e *Engine) StreamContext(ctx context.Context, q *analyze.Query, sources []
 	// Pre-materialised sources: their internal conjuncts are already
 	// applied by the bounded executor.
 	for _, s := range sources {
-		u := newUnit(s.Name, s.Atoms, s.Cols, iter.FromRows(s.Rows, nil), float64(len(s.Rows)))
+		u := newUnit(s.Name, s.Atoms, s.Cols, iter.ColFromRows(s.Rows, nil, len(s.Cols), e.batch), float64(len(s.Rows)))
 		units = append(units, u)
 		for _, a := range s.Atoms {
 			covered[a] = true
@@ -333,7 +314,8 @@ func (e *Engine) StreamContext(ctx context.Context, q *analyze.Query, sources []
 		}
 	}
 
-	// Residual conjuncts (anything not yet applied) as streaming filters.
+	// Residual conjuncts (anything not yet applied), one selection stage
+	// each.
 	for ci, ok := range applied {
 		if ok {
 			continue
@@ -341,28 +323,19 @@ func (e *Engine) StreamContext(ctx context.Context, q *analyze.Query, sources []
 		c := q.Conjuncts[ci]
 		tr := &opTracker{op: "filter " + c.String()}
 		trackers = append(trackers, tr)
-		cur.it = &filterOp{in: cur.it, cond: c, layout: cur.layout, tr: tr}
-		cur.cit = nil
+		cur.cit = &residualOp{in: cur.cit, filter: analyze.CompileFilters([]analyze.Expr{c.Expr}, cur.layout), tr: tr}
 		applied[ci] = true
 	}
 
-	// Relational tail: columnar when the plan root still exposes column
-	// vectors (single-unit plans without residual filters), row-based
-	// otherwise. Both tails yield identical streams.
+	// Relational tail over the root's column batches.
 	tailName := "project"
 	if q.IsAgg {
 		tailName = "aggregate"
 	}
 	tailTr := &opTracker{op: tailName}
 	trackers = append(trackers, tailTr)
-	var out iter.Iterator
-	if cur.cit != nil {
-		ctailIn := iter.CountedCols(cur.cit, &tailTr.rowsIn)
-		out = iter.Counted(exec.StreamCol(q, ctailIn, cur.layout), &tailTr.rowsOut)
-	} else {
-		tailIn := iter.Counted(cur.it, &tailTr.rowsIn)
-		out = iter.Counted(exec.Stream(q, tailIn, cur.layout), &tailTr.rowsOut)
-	}
+	tailIn := iter.CountedCols(cur.cit, &tailTr.rowsIn)
+	out := iter.Counted(exec.StreamCol(q, tailIn, cur.layout), &tailTr.rowsOut)
 
 	final := iter.OnClose(iter.WithContext(ctx, out), func() {
 		st.Ops = make([]OpStat, len(trackers))
@@ -387,41 +360,34 @@ func (e *Engine) StreamContext(ctx context.Context, q *analyze.Query, sources []
 	return final, st, nil
 }
 
-// filterOp streams rows that satisfy one residual conjunct.
-type filterOp struct {
-	in     iter.Iterator
-	cond   analyze.Conjunct
-	layout *analyze.Layout
+// residualOp streams the rows that satisfy one residual conjunct,
+// refining each input batch's selection vector.
+type residualOp struct {
+	in     iter.ColIterator
+	filter *analyze.VecFilter
 	tr     *opTracker
-	buf    iter.Batch
 }
 
-func (f *filterOp) Open() error  { return f.in.Open() }
-func (f *filterOp) Close() error { return f.in.Close() }
+func (f *residualOp) Open() error  { return f.in.Open() }
+func (f *residualOp) Close() error { return f.in.Close() }
 
-func (f *filterOp) Next(b *iter.Batch) (bool, error) {
+func (f *residualOp) NextCols(b *iter.ColBatch) (bool, error) {
 	t0 := time.Now()
 	defer func() { f.tr.dur += time.Since(t0) }()
-	b.Reset()
-	for b.Len() == 0 {
-		ok, err := f.in.Next(&f.buf)
+	for {
+		ok, err := f.in.NextCols(b)
 		if err != nil || !ok {
-			f.tr.rowsOut += int64(b.Len())
-			return b.Len() > 0, err
+			return false, err
 		}
-		f.tr.rowsIn += int64(f.buf.Len())
-		for i, r := range f.buf.Rows {
-			pass, err := analyze.EvalBool(f.cond.Expr, r, f.layout)
-			if err != nil {
-				return false, err
-			}
-			if pass {
-				b.Append(r, f.buf.Weight(i))
-			}
+		f.tr.rowsIn += int64(b.Len())
+		if err := f.filter.Apply(b); err != nil {
+			return false, err
+		}
+		if n := b.Len(); n > 0 {
+			f.tr.rowsOut += int64(n)
+			return true, nil
 		}
 	}
-	f.tr.rowsOut += int64(b.Len())
-	return true, nil
 }
 
 // scanAtom produces the unit for one atom: a streaming scan applying
@@ -431,12 +397,6 @@ func (e *Engine) scanAtom(ctx context.Context, q *analyze.Query, ai int, applied
 	table, ok := e.store.Table(atom.Rel.Name)
 	if !ok {
 		return nil, fmt.Errorf("engine: no table for relation %q", atom.Rel.Name)
-	}
-
-	// Full-relation layout for filter evaluation during the scan.
-	fullLayout := analyze.NewLayout()
-	for attr := range atom.Rel.Attrs {
-		fullLayout.Add(analyze.ColID{Atom: ai, Attr: attr})
 	}
 
 	// Single-atom conjuncts push down to the scan.
@@ -470,55 +430,33 @@ func (e *Engine) scanAtom(ctx context.Context, q *analyze.Query, ai int, applied
 	est := e.estimateScan(q, ai, table, filters)
 	tr.est = est
 
-	// Columnar scan: the cursor fills typed column vectors directly and
-	// pushed-down filters run as vectorized selection loops. Valid under
-	// projection pushdown because UsedAttrs includes every WHERE column,
-	// so the projected layout materialises everything the filters read.
-	// MaterializeRows profiles keep the row scan — their per-row record
-	// copy is the behaviour being emulated.
-	if !e.prof.MaterializeRows {
-		colLayout := analyze.NewLayout()
-		for _, c := range cols {
-			colLayout.Add(c)
-		}
-		var exprs []analyze.Expr
-		for _, f := range filters {
-			exprs = append(exprs, f.Expr)
-		}
-		cop := &colScanOp{
-			ctx:     ctx,
-			table:   table,
-			cols:    proj,
-			batch:   e.batch,
-			tr:      tr,
-			scanned: &st.Scanned,
-		}
-		if len(exprs) > 0 {
-			cop.filter = analyze.CompileFilters(exprs, colLayout)
-		}
-		u := newUnit(atom.Name, []int{ai}, cols, iter.RowView(cop, len(cols)), est)
-		u.cit = cop
-		return u, nil
+	// The cursor fills typed column vectors directly and pushed-down
+	// filters run as vectorized selection loops. Valid under projection
+	// pushdown because UsedAttrs includes every WHERE column, so the
+	// projected layout materialises everything the filters read.
+	cop := &colScanOp{
+		ctx:     ctx,
+		table:   table,
+		cols:    proj,
+		batch:   e.batch,
+		tr:      tr,
+		scanned: &st.Scanned,
 	}
-
-	op := &scanOp{
-		ctx:         ctx,
-		table:       table,
-		filters:     filters,
-		layout:      fullLayout,
-		proj:        proj,
-		materialize: e.prof.MaterializeRows,
-		tr:          tr,
-		scanned:     &st.Scanned,
+	u := newUnit(atom.Name, []int{ai}, cols, cop, est)
+	if len(filters) > 0 {
+		exprs := make([]analyze.Expr, len(filters))
+		for i, f := range filters {
+			exprs[i] = f.Expr
+		}
+		cop.filter = analyze.CompileFilters(exprs, u.layout)
 	}
-	return newUnit(atom.Name, []int{ai}, cols, op, est), nil
+	return u, nil
 }
 
 // colScanOp is the columnar scan: the storage cursor appends projected
 // attributes straight into typed column vectors, and pushed-down filters
 // run as vectorized comparison loops writing a selection vector (with a
-// scalar fallback inside VecFilter for anything exotic). It streams the
-// same rows as scanOp.
+// scalar fallback inside VecFilter for anything exotic).
 type colScanOp struct {
 	ctx     context.Context
 	table   *storage.Table
@@ -565,75 +503,6 @@ func (s *colScanOp) NextCols(cb *iter.ColBatch) (bool, error) {
 			return true, nil
 		}
 	}
-}
-
-// scanOp streams a table through the pushed-down filters and projection,
-// one batch of rows at a time, never holding the whole relation.
-type scanOp struct {
-	ctx         context.Context
-	table       *storage.Table
-	filters     []analyze.Conjunct
-	layout      *analyze.Layout
-	proj        []int
-	materialize bool
-	tr          *opTracker
-	scanned     *int64
-
-	cur *storage.Cursor
-	buf []value.Row
-}
-
-func (s *scanOp) Open() error {
-	s.cur = s.table.Scan()
-	s.buf = make([]value.Row, iter.BatchSize)
-	return nil
-}
-
-func (s *scanOp) Close() error { return nil }
-
-func (s *scanOp) Next(b *iter.Batch) (bool, error) {
-	t0 := time.Now()
-	defer func() { s.tr.dur += time.Since(t0) }()
-	if err := s.ctx.Err(); err != nil {
-		return false, err
-	}
-	b.Reset()
-	for b.Len() == 0 {
-		n, err := s.cur.Next(s.buf)
-		if err != nil {
-			return false, err
-		}
-		if n == 0 {
-			return false, nil
-		}
-		s.tr.rowsIn += int64(n)
-		*s.scanned += int64(n)
-		for _, r := range s.buf[:n] {
-			rr := r
-			if s.materialize {
-				// Emulate record unpacking: the engine copies the stored
-				// record before evaluating predicates.
-				rr = r.Clone()
-			}
-			pass := true
-			for _, f := range s.filters {
-				ok, err := analyze.EvalBool(f.Expr, rr, s.layout)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					pass = false
-					break
-				}
-			}
-			if !pass {
-				continue
-			}
-			b.Append(rr.Project(s.proj), 1)
-		}
-	}
-	s.tr.rowsOut += int64(b.Len())
-	return true, nil
 }
 
 // estimateScan estimates the filtered cardinality of an atom using the

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
 
+	"github.com/bounded-eval/beas/internal/access"
 	"github.com/bounded-eval/beas/internal/analyze"
+	"github.com/bounded-eval/beas/internal/iter"
 	"github.com/bounded-eval/beas/internal/schema"
 	"github.com/bounded-eval/beas/internal/sqlparser"
+	"github.com/bounded-eval/beas/internal/stats"
 	"github.com/bounded-eval/beas/internal/storage"
 	"github.com/bounded-eval/beas/internal/value"
 )
@@ -118,7 +122,7 @@ func TestProfilesAgree(t *testing.T) {
 		q := e.analyze(t, sql)
 		var ref []value.Row
 		for i, prof := range profiles {
-			rows, _, err := New(e.store, prof).Run(q)
+			rows, _, err := New(e.store, prof).RunContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", sql, prof.Name, err)
 			}
@@ -137,7 +141,7 @@ func TestProfilesAgree(t *testing.T) {
 func TestCrossProductWhenNoJoinKey(t *testing.T) {
 	e := newEnv(t)
 	q := e.analyze(t, "SELECT r.a, u.d FROM r, u")
-	rows, _, err := New(e.store, ProfilePostgres).Run(q)
+	rows, _, err := New(e.store, ProfilePostgres).RunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,7 @@ func TestCrossProductWhenNoJoinKey(t *testing.T) {
 func TestScanStatsAndPushdown(t *testing.T) {
 	e := newEnv(t)
 	q := e.analyze(t, "SELECT a FROM r WHERE b = 1")
-	_, st, err := New(e.store, ProfilePostgres).Run(q)
+	_, st, err := New(e.store, ProfilePostgres).RunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	e.insert(t, "s", value.NewNull(), value.NewInt(99))
 	q := e.analyze(t, "SELECT r.a, s.c FROM r, s WHERE r.b = s.b")
 	for _, prof := range profiles {
-		rows, _, err := New(e.store, prof).Run(q)
+		rows, _, err := New(e.store, prof).RunContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +204,7 @@ func TestNumericCoercionInJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prof := range profiles {
-		rows, _, err := New(store, prof).Run(q)
+		rows, _, err := New(store, prof).RunContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +224,11 @@ func TestRunWithSources(t *testing.T) {
 		Rows:  []value.Row{{value.NewInt(2), value.NewInt(2)}},
 		Name:  "bounded(r)",
 	}
-	rows, st, err := New(e.store, ProfilePostgres).RunWithSources(q, []Source{src})
+	it, st, err := New(e.store, ProfilePostgres).StreamContext(context.Background(), q, []Source{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := iter.Collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +241,33 @@ func TestRunWithSources(t *testing.T) {
 	}
 }
 
+// TestBuildLeftKeepsLayout: with statistics the hash join builds on the
+// estimated-smaller left side, and the concatenated rows must still put
+// the left unit's columns first.
+func TestBuildLeftKeepsLayout(t *testing.T) {
+	e := newEnv(t)
+	q := e.analyze(t, "SELECT r.a, r.tag, s.c FROM r, s WHERE r.b = s.b AND r.a = 2")
+	want, _, err := New(e.store, ProfilePostgres).RunContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := stats.NewCatalog(e.store, access.NewSchema(e.store))
+	got, st, err := New(e.store, ProfilePostgres).WithStats(cat).RunContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := false
+	for _, o := range st.Ops {
+		swapped = swapped || strings.HasSuffix(o.Op, "(build=left)")
+	}
+	if !swapped {
+		t.Fatalf("plan did not build on the left: %+v", st.Ops)
+	}
+	if len(want) != 1 || !equalBags(got, want) {
+		t.Errorf("build=left rows %v, want %v", got, want)
+	}
+}
+
 func TestJoinOrderStrategiesProduceAllUnits(t *testing.T) {
 	e := newEnv(t)
 	q := e.analyze(t, "SELECT r.a FROM r, s, u WHERE r.b = s.b AND s.c = u.c")
@@ -241,7 +276,7 @@ func TestJoinOrderStrategiesProduceAllUnits(t *testing.T) {
 		{Name: "greedy", Join: HashJoin, Order: OrderGreedy},
 		{Name: "aswritten", Join: HashJoin, Order: OrderAsWritten},
 	} {
-		rows, _, err := New(e.store, prof).Run(q)
+		rows, _, err := New(e.store, prof).RunContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
 		}
@@ -286,7 +321,7 @@ func TestUnknownRelationError(t *testing.T) {
 	// Run against a store lacking the table by building a fresh store
 	// with a different relation set.
 	empty, _ := schema.NewDatabase()
-	if _, _, err := New(storage.NewStore(empty), ProfilePostgres).Run(q); err == nil {
+	if _, _, err := New(storage.NewStore(empty), ProfilePostgres).RunContext(context.Background(), q); err == nil {
 		t.Error("missing table should error")
 	}
 }

@@ -66,13 +66,13 @@ func (e *Engine) join(q *analyze.Query, left, right *unit, applied []bool, track
 
 	// Post-join filters: conjuncts now fully contained in the merged unit
 	// (non-equi cross predicates, opaque predicates, ...).
-	var post []analyze.Conjunct
+	var post []analyze.Expr
 	for ci, c := range q.Conjuncts {
 		if applied[ci] {
 			continue
 		}
 		if merged.hasAtoms(c.Refs) {
-			post = append(post, c)
+			post = append(post, c.Expr)
 			applied[ci] = true
 		}
 	}
@@ -93,36 +93,30 @@ func (e *Engine) join(q *analyze.Query, left, right *unit, applied []bool, track
 	tr := &opTracker{op: opName, est: est}
 	*trackers = append(*trackers, tr)
 	base := joinBase{
-		probe:  left.it,
-		build:  right.it,
-		lKeys:  lKeys,
-		rKeys:  rKeys,
-		post:   post,
-		layout: merged.layout,
-		tr:     tr,
+		probe: left.cit,
+		build: right.cit,
+		lKeys: lKeys,
+		rKeys: rKeys,
+		width: len(cols),
+		batch: e.batch,
+		tr:    tr,
+	}
+	if len(post) > 0 {
+		base.post = analyze.CompileFilters(post, merged.layout)
 	}
 	if swap {
-		base.probe, base.build = right.it, left.it
+		base.probe, base.build = right.cit, left.cit
 		base.lKeys, base.rKeys = rKeys, lKeys
 		base.swapped = true
 	}
 	switch algo {
 	case HashJoin:
-		h := &hashJoinOp{joinBase: base}
-		// Columnar sides, when the units expose them: build keys encode
-		// column-at-a-time and probe rows materialise only on a bucket
-		// hit. Open/Close stay on the row views, which share the
-		// underlying operators.
-		pu, bu := left, right
-		if swap {
-			pu, bu = right, left
-		}
-		h.cprobe, h.cbuild = pu.cit, bu.cit
-		merged.it = h
+		base.keyed = true
+		merged.cit = &hashJoinOp{joinBase: base}
 	case SortMergeJoin:
-		merged.it = &sortMergeJoinOp{joinBase: base}
+		merged.cit = &sortMergeJoinOp{joinBase: base}
 	default:
-		merged.it = &nestedLoopJoinOp{joinBase: base}
+		merged.cit = &nestedLoopJoinOp{joinBase: base}
 	}
 	return merged, nil
 }
@@ -132,22 +126,31 @@ func (e *Engine) join(q *analyze.Query, left, right *unit, applied []bool, track
 // being joined in), the equi-join key slots on each side, and the
 // conjuncts that become evaluable on the concatenated row.
 type joinBase struct {
-	probe, build iter.Iterator
-	lKeys, rKeys []int // key slots in probe rows (lKeys) and build rows (rKeys)
-	post         []analyze.Conjunct
-	layout       *analyze.Layout
+	probe, build iter.ColIterator
+	lKeys, rKeys []int              // key slots in probe rows (lKeys) and build rows (rKeys)
+	post         *analyze.VecFilter // post-join conjuncts over the merged layout; nil if none
+	width        int                // merged row width
+	batch        int                // output batch row capacity
 	tr           *opTracker
 	// swapped marks a stats-driven build-side swap: probe rows are then
 	// the plan's RIGHT side, so emit concatenates build-row first to
 	// keep the merged layout (left cols ++ right cols) intact.
 	swapped bool
+	// keyed asks nextProbe to encode each probe batch's lKeys into
+	// keyBufs (the hash join looks probe rows up by encoded key).
+	keyed bool
 
-	pbuf  iter.Batch // current probe batch
-	ppos  int
-	pdone bool
+	pb      iter.ColBatch // current probe batch
+	ppos    int           // next live-row index in pb
+	pdone   bool
+	cand    iter.ColBatch // candidate rows awaiting the post-join filter
+	keyBufs [][]byte      // encoded keys per physical row of the last encoded batch
+	prow    value.Row     // probe row being joined, read from pb
+	row     value.Row     // output row under construction, copied per emission
 }
 
 func (j *joinBase) Open() error {
+	j.row = make(value.Row, j.width)
 	if err := j.probe.Open(); err != nil {
 		return err
 	}
@@ -162,49 +165,136 @@ func (j *joinBase) Close() error {
 	return err
 }
 
-// nextProbe returns the next probe row and its weight, pulling a fresh
-// batch when the current one is exhausted; ok=false means the probe side
-// is done (idempotently, so operators may keep asking).
-func (j *joinBase) nextProbe() (value.Row, int64, bool, error) {
-	if j.pdone {
-		return nil, 0, false, nil
+// next is every join's NextCols. fill appends concatenated rows to a
+// batch while it holds fewer than limit rows, and appends none once the
+// join is exhausted. Without post-join conjuncts it fills the output
+// batch directly.
+func (j *joinBase) next(out *iter.ColBatch, fill func(b *iter.ColBatch, limit int) error) (bool, error) {
+	t0 := time.Now()
+	defer func() { j.tr.dur += time.Since(t0) }()
+	out.Reset(j.width)
+	var err error
+	if j.post == nil {
+		err = fill(out, j.batch)
+	} else {
+		err = j.fillFiltered(out, fill)
 	}
-	for j.ppos >= j.pbuf.Len() {
-		ok, err := j.probe.Next(&j.pbuf)
+	if err != nil {
+		return false, err
+	}
+	n := out.Rows()
+	j.tr.rowsOut += int64(n)
+	return n > 0, nil
+}
+
+// fillFiltered fills and filters candidates in a side batch and copies
+// the survivors to out, until out holds a full batch of surviving rows
+// or the join is exhausted. The join thus consumes exactly as much input
+// per output batch as it would filtering row by row, and a LIMIT above
+// stops its inputs at the same point.
+func (j *joinBase) fillFiltered(out *iter.ColBatch, fill func(b *iter.ColBatch, limit int) error) error {
+	for out.Rows() < j.batch {
+		j.cand.Reset(j.width)
+		if err := fill(&j.cand, j.batch-out.Rows()); err != nil {
+			return err
+		}
+		if j.cand.Rows() == 0 {
+			return nil
+		}
+		if err := j.post.Apply(&j.cand); err != nil {
+			return err
+		}
+		for i, n := 0, j.cand.Len(); i < n; i++ {
+			p := j.cand.Index(i)
+			j.cand.ReadRow(p, j.row)
+			out.AppendRow(j.row, j.cand.Weight(p))
+		}
+	}
+	return nil
+}
+
+// nextProbe returns the physical index in pb of the next live probe row,
+// pulling a fresh batch when the current one is exhausted; ok=false
+// means the probe side is done (idempotently, so operators may keep
+// asking).
+func (j *joinBase) nextProbe() (int, bool, error) {
+	for j.ppos >= j.pb.Len() {
+		if j.pdone {
+			return 0, false, nil
+		}
+		ok, err := j.probe.NextCols(&j.pb)
 		if err != nil || !ok {
 			j.pdone = true
-			return nil, 0, false, err
+			return 0, false, err
 		}
-		j.tr.rowsIn += int64(j.pbuf.Len())
+		j.tr.rowsIn += int64(j.pb.Len())
 		j.ppos = 0
+		if len(j.prow) != j.pb.Width() {
+			j.prow = make(value.Row, j.pb.Width())
+		}
+		if j.keyed {
+			j.encodeKeys(&j.pb, j.lKeys)
+		}
 	}
-	r, w := j.pbuf.Rows[j.ppos], j.pbuf.Weight(j.ppos)
+	p := j.pb.Index(j.ppos)
 	j.ppos++
-	return r, w, true, nil
+	return p, true, nil
+}
+
+// encodeKeys fills j.keyBufs with the encoded key of every physical row
+// of cb, column-at-a-time.
+func (j *joinBase) encodeKeys(cb *iter.ColBatch, keys []int) {
+	np := cb.Rows()
+	for len(j.keyBufs) < np {
+		j.keyBufs = append(j.keyBufs, nil)
+	}
+	for i := 0; i < np; i++ {
+		j.keyBufs[i] = j.keyBufs[i][:0]
+	}
+	cb.AppendRowKeys(keys, j.keyBufs)
 }
 
 // emit appends the concatenation of the probe row pr and build row br
-// with bag weight w to out, unless a post-join filter rejects it. The
-// layout's left part always comes first, whichever side was built.
-func (j *joinBase) emit(out *iter.Batch, pr, br value.Row, w int64) error {
+// with bag weight w to out. The layout's left part always comes first,
+// whichever side was built.
+func (j *joinBase) emit(out *iter.ColBatch, pr, br value.Row, w int64) {
 	lr, rr := pr, br
 	if j.swapped {
 		lr, rr = br, pr
 	}
-	row := make(value.Row, 0, len(lr)+len(rr))
-	row = append(row, lr...)
-	row = append(row, rr...)
-	for _, f := range j.post {
-		ok, err := analyze.EvalBool(f.Expr, row, j.layout)
-		if err != nil {
+	n := copy(j.row, lr)
+	copy(j.row[n:], rr)
+	out.AppendRow(j.row, w)
+}
+
+// drain materialises every live row of it with its weight; keys, when
+// non-nil, also encodes each row's key, and rows with a NULL key — which
+// never match — are dropped. Rows are counted as the operator's input.
+func (j *joinBase) drain(it iter.ColIterator, keys []int, fn func(key []byte, row value.Row, w int64)) error {
+	var cb iter.ColBatch
+	for {
+		ok, err := it.NextCols(&cb)
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
+		j.tr.rowsIn += int64(cb.Len())
+		if keys != nil {
+			j.encodeKeys(&cb, keys)
+		}
+		for i, n := 0, cb.Len(); i < n; i++ {
+			p := cb.Index(i)
+			var key []byte
+			if keys != nil {
+				if colKeyHasNull(&cb, keys, p) {
+					continue // NULL keys never match
+				}
+				key = j.keyBufs[p]
+			}
+			row := make(value.Row, cb.Width())
+			cb.ReadRow(p, row)
+			fn(key, row, cb.Weight(p))
 		}
 	}
-	out.Append(row, w)
-	return nil
 }
 
 // joinBucket is one equal-key group of build rows with their weights.
@@ -215,186 +305,52 @@ type joinBucket struct {
 
 // hashJoinOp materialises only its build side as a hash table (on the
 // first pull, so planning stays free) and streams the probe side through
-// it, one batch at a time.
+// it, one batch at a time: a probe batch's keys encode column-at-a-time
+// and only rows whose key hits a bucket are read out of the vectors.
 type hashJoinOp struct {
 	joinBase
 	table map[string]*joinBucket
-	built bool
-	key   []byte
-
-	// cprobe/cbuild, when non-nil, are columnar views of the same
-	// operators as probe/build (Open/Close still go through the row
-	// views, which delegate to the shared operator). The build drains
-	// batches with column-at-a-time key encoding; the probe materialises
-	// a row only when its key hits a bucket.
-	cprobe, cbuild iter.ColIterator
-	cpb            iter.ColBatch
-	cpos           int // next live-row index in cpb
-	keyBufs        [][]byte
-	pscratch       value.Row
 }
 
-func (h *hashJoinOp) buildTable() error {
-	h.table = make(map[string]*joinBucket)
-	if h.cbuild != nil {
-		return h.buildTableCols()
-	}
-	var b iter.Batch
-	for {
-		ok, err := h.build.Next(&b)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		h.tr.rowsIn += int64(b.Len())
-		for i, r := range b.Rows {
-			if rowKeyHasNull(r, h.rKeys) {
-				continue // NULL keys never match
-			}
-			h.key = value.AppendRowKey(h.key[:0], r, h.rKeys)
-			bk, ok := h.table[string(h.key)]
-			if !ok {
-				bk = &joinBucket{}
-				h.table[string(h.key)] = bk
-			}
-			bk.rows = append(bk.rows, r)
-			bk.weights = append(bk.weights, b.Weight(i))
-		}
-	}
+func (h *hashJoinOp) NextCols(out *iter.ColBatch) (bool, error) {
+	return h.next(out, h.fill)
 }
 
-// buildTableCols drains the columnar build side: join keys for a whole
-// batch encode column-at-a-time, and each kept row materialises fresh
-// from the vectors (bucket rows outlive the batch).
-func (h *hashJoinOp) buildTableCols() error {
-	var cb iter.ColBatch
-	for {
-		ok, err := h.cbuild.NextCols(&cb)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		h.tr.rowsIn += int64(cb.Len())
-		h.encodeKeys(&cb, h.rKeys)
-		n := cb.Len()
-		for i := 0; i < n; i++ {
-			p := cb.Index(i)
-			if colKeyHasNull(&cb, h.rKeys, p) {
-				continue // NULL keys never match
-			}
-			bk, ok := h.table[string(h.keyBufs[p])]
+func (h *hashJoinOp) fill(out *iter.ColBatch, limit int) error {
+	if h.table == nil {
+		h.table = make(map[string]*joinBucket)
+		err := h.drain(h.build, h.rKeys, func(key []byte, row value.Row, w int64) {
+			bk, ok := h.table[string(key)]
 			if !ok {
 				bk = &joinBucket{}
-				h.table[string(h.keyBufs[p])] = bk
+				h.table[string(key)] = bk
 			}
-			row := make(value.Row, cb.Width())
-			cb.ReadRow(p, row)
 			bk.rows = append(bk.rows, row)
-			bk.weights = append(bk.weights, cb.Weight(p))
-		}
-	}
-}
-
-// encodeKeys fills h.keyBufs with the encoded key of every physical row
-// of cb, column-at-a-time.
-func (h *hashJoinOp) encodeKeys(cb *iter.ColBatch, keys []int) {
-	np := cb.Rows()
-	for len(h.keyBufs) < np {
-		h.keyBufs = append(h.keyBufs, nil)
-	}
-	for i := 0; i < np; i++ {
-		h.keyBufs[i] = h.keyBufs[i][:0]
-	}
-	cb.AppendRowKeys(keys, h.keyBufs)
-}
-
-func (h *hashJoinOp) Next(out *iter.Batch) (bool, error) {
-	t0 := time.Now()
-	defer func() { h.tr.dur += time.Since(t0) }()
-	if !h.built {
-		if err := h.buildTable(); err != nil {
-			return false, err
-		}
-		h.built = true
-	}
-	if h.cprobe != nil {
-		return h.nextCols(out)
-	}
-	out.Reset()
-	for out.Len() < iter.BatchSize {
-		pr, pw, ok, err := h.nextProbe()
+			bk.weights = append(bk.weights, w)
+		})
 		if err != nil {
-			return false, err
-		}
-		if !ok {
-			break
-		}
-		if rowKeyHasNull(pr, h.lKeys) {
-			continue
-		}
-		h.key = value.AppendRowKey(h.key[:0], pr, h.lKeys)
-		bk := h.table[string(h.key)]
-		if bk == nil {
-			continue
-		}
-		for i, br := range bk.rows {
-			if err := h.emit(out, pr, br, pw*bk.weights[i]); err != nil {
-				return false, err
-			}
+			return err
 		}
 	}
-	h.tr.rowsOut += int64(out.Len())
-	return out.Len() > 0, nil
-}
-
-// nextCols probes with columnar batches: a batch's keys encode in one
-// pass and only rows whose key hits a bucket materialise (into a scratch
-// row — emit copies into the fresh output row).
-func (h *hashJoinOp) nextCols(out *iter.Batch) (bool, error) {
-	out.Reset()
-	for out.Len() < iter.BatchSize {
-		if h.cpos >= h.cpb.Len() {
-			if h.pdone {
-				break
-			}
-			ok, err := h.cprobe.NextCols(&h.cpb)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				h.pdone = true
-				break
-			}
-			h.tr.rowsIn += int64(h.cpb.Len())
-			h.encodeKeys(&h.cpb, h.lKeys)
-			h.cpos = 0
+	for out.Rows() < limit {
+		p, ok, err := h.nextProbe()
+		if err != nil || !ok {
+			return err
 		}
-		p := h.cpb.Index(h.cpos)
-		h.cpos++
-		if colKeyHasNull(&h.cpb, h.lKeys, p) {
+		if colKeyHasNull(&h.pb, h.lKeys, p) {
 			continue
 		}
 		bk := h.table[string(h.keyBufs[p])]
 		if bk == nil {
 			continue
 		}
-		if h.pscratch == nil {
-			h.pscratch = make(value.Row, h.cpb.Width())
-		}
-		h.cpb.ReadRow(p, h.pscratch)
-		pw := h.cpb.Weight(p)
+		h.pb.ReadRow(p, h.prow)
+		pw := h.pb.Weight(p)
 		for i, br := range bk.rows {
-			if err := h.emit(out, h.pscratch, br, pw*bk.weights[i]); err != nil {
-				return false, err
-			}
+			h.emit(out, h.prow, br, pw*bk.weights[i])
 		}
 	}
-	h.tr.rowsOut += int64(out.Len())
-	return out.Len() > 0, nil
+	return nil
 }
 
 // keyedRow is a row tagged with its encoded join key and bag weight.
@@ -418,49 +374,33 @@ type sortMergeJoinOp struct {
 	inRun    bool
 }
 
-func (s *sortMergeJoinOp) drainKeyed(it iter.Iterator, keys []int) ([]keyedRow, error) {
+func (s *sortMergeJoinOp) drainKeyed(it iter.ColIterator, keys []int) ([]keyedRow, error) {
 	var out []keyedRow
-	var b iter.Batch
-	var kb []byte
-	for {
-		ok, err := it.Next(&b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			sort.SliceStable(out, func(i, j int) bool { return out[i].key < out[j].key })
-			return out, nil
-		}
-		s.tr.rowsIn += int64(b.Len())
-		for i, r := range b.Rows {
-			if rowKeyHasNull(r, keys) {
-				continue
-			}
-			kb = value.AppendRowKey(kb[:0], r, keys)
-			out = append(out, keyedRow{key: string(kb), row: r, w: b.Weight(i)})
-		}
-	}
+	err := s.drain(it, keys, func(key []byte, row value.Row, w int64) {
+		out = append(out, keyedRow{key: string(key), row: row, w: w})
+	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out, err
 }
 
-func (s *sortMergeJoinOp) Next(out *iter.Batch) (bool, error) {
-	t0 := time.Now()
-	defer func() { s.tr.dur += time.Since(t0) }()
+func (s *sortMergeJoinOp) NextCols(out *iter.ColBatch) (bool, error) {
+	return s.next(out, s.fill)
+}
+
+func (s *sortMergeJoinOp) fill(out *iter.ColBatch, limit int) error {
 	if !s.prepared {
 		var err error
 		if s.ls, err = s.drainKeyed(s.probe, s.lKeys); err != nil {
-			return false, err
+			return err
 		}
 		if s.rs, err = s.drainKeyed(s.build, s.rKeys); err != nil {
-			return false, err
+			return err
 		}
 		s.prepared = true
 	}
-	out.Reset()
-	for out.Len() < iter.BatchSize {
+	for out.Rows() < limit {
 		if s.inRun {
-			if err := s.emit(out, s.ls[s.la].row, s.rs[s.ra].row, s.ls[s.la].w*s.rs[s.ra].w); err != nil {
-				return false, err
-			}
+			s.emit(out, s.ls[s.la].row, s.rs[s.ra].row, s.ls[s.la].w*s.rs[s.ra].w)
 			s.ra++
 			if s.ra >= s.re {
 				s.ra = s.ri
@@ -494,8 +434,7 @@ func (s *sortMergeJoinOp) Next(out *iter.Batch) (bool, error) {
 			s.inRun = true
 		}
 	}
-	s.tr.rowsOut += int64(out.Len())
-	return out.Len() > 0, nil
+	return nil
 }
 
 // nestedLoopJoinOp materialises the build side and streams the probe
@@ -507,84 +446,55 @@ type nestedLoopJoinOp struct {
 	brows   []value.Row
 	bw      []int64
 	built   bool
-	cur     value.Row // probe row currently being expanded
-	curW    int64
-	bi      int // next build row for cur
+	curW    int64 // weight of the probe row in prow being expanded
+	bi      int   // next build row for it
 	haveCur bool
 }
 
-func (n *nestedLoopJoinOp) buildSide() error {
-	var b iter.Batch
-	for {
-		ok, err := n.build.Next(&b)
+func (n *nestedLoopJoinOp) NextCols(out *iter.ColBatch) (bool, error) {
+	return n.next(out, n.fill)
+}
+
+func (n *nestedLoopJoinOp) fill(out *iter.ColBatch, limit int) error {
+	if !n.built {
+		err := n.drain(n.build, nil, func(_ []byte, row value.Row, w int64) {
+			n.brows = append(n.brows, row)
+			n.bw = append(n.bw, w)
+		})
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		n.tr.rowsIn += int64(b.Len())
-		for i, r := range b.Rows {
-			n.brows = append(n.brows, r)
-			n.bw = append(n.bw, b.Weight(i))
-		}
-	}
-}
-
-func (n *nestedLoopJoinOp) Next(out *iter.Batch) (bool, error) {
-	t0 := time.Now()
-	defer func() { n.tr.dur += time.Since(t0) }()
-	if !n.built {
-		if err := n.buildSide(); err != nil {
-			return false, err
-		}
 		n.built = true
 	}
-	out.Reset()
-	for out.Len() < iter.BatchSize {
+	for out.Rows() < limit {
 		if !n.haveCur {
-			pr, pw, ok, err := n.nextProbe()
-			if err != nil {
-				return false, err
+			p, ok, err := n.nextProbe()
+			if err != nil || !ok {
+				return err
 			}
-			if !ok {
-				break
-			}
-			n.cur, n.curW, n.bi, n.haveCur = pr, pw, 0, true
+			n.pb.ReadRow(p, n.prow)
+			n.curW, n.bi, n.haveCur = n.pb.Weight(p), 0, true
 		}
-		for n.bi < len(n.brows) && out.Len() < iter.BatchSize {
+		for n.bi < len(n.brows) && out.Rows() < limit {
 			br, bw := n.brows[n.bi], n.bw[n.bi]
 			n.bi++
 			match := true
 			for k := range n.lKeys {
-				lv, rv := n.cur[n.lKeys[k]], br[n.rKeys[k]]
+				lv, rv := n.prow[n.lKeys[k]], br[n.rKeys[k]]
 				if lv.IsNull() || rv.IsNull() || !value.Equal(lv, rv) {
 					match = false
 					break
 				}
 			}
-			if !match {
-				continue
-			}
-			if err := n.emit(out, n.cur, br, n.curW*bw); err != nil {
-				return false, err
+			if match {
+				n.emit(out, n.prow, br, n.curW*bw)
 			}
 		}
 		if n.bi >= len(n.brows) {
 			n.haveCur = false
 		}
 	}
-	n.tr.rowsOut += int64(out.Len())
-	return out.Len() > 0, nil
-}
-
-func rowKeyHasNull(r value.Row, keys []int) bool {
-	for _, k := range keys {
-		if r[k].IsNull() {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // colKeyHasNull reports whether physical row p of cb has a NULL in any

@@ -7,11 +7,13 @@ import (
 )
 
 // StreamCol composes the relational tail of q over a columnar iterator
-// of joined intermediate rows. It is the vectorized sibling of Stream
-// and yields identical row streams: projection and aggregation read
-// column vectors directly (group keys and fused DISTINCT keys encode
+// of joined intermediate rows. The returned iterator yields final result
+// rows (weight-free: bag multiplicities are expanded by projection and
+// consumed by aggregation). Projection and aggregation read column
+// vectors directly (group keys and fused DISTINCT keys encode
 // column-at-a-time), while ORDER BY, LIMIT/OFFSET and non-fusable
-// DISTINCT reuse the row stages on the projected output.
+// DISTINCT run as row stages on the projected output. Closing it early —
+// or exhausting a LIMIT — stops pulling from in.
 func StreamCol(q *analyze.Query, in iter.ColIterator, layout *analyze.Layout) iter.Iterator {
 	var it iter.Iterator
 	if q.IsAgg {
@@ -36,12 +38,13 @@ func StreamCol(q *analyze.Query, in iter.ColIterator, layout *analyze.Layout) it
 	return it
 }
 
-// colProjectIter evaluates the output expressions over column vectors.
-// Pure column references read the vectors directly; any other output
-// expression evaluates against a scratch row view, so semantics (and
-// errors) match the row projectIter exactly. When every output is a
-// column reference and the query is DISTINCT, duplicate elimination
-// fuses into the projection with column-at-a-time key encoding.
+// colProjectIter evaluates the output expressions over column vectors,
+// replicating each projected row by its bag weight (under DISTINCT each
+// row is emitted once: duplicates collapse anyway). Pure column
+// references read the vectors directly; any other output expression
+// evaluates against a scratch row view. When every output is a column
+// reference and the query is DISTINCT, duplicate elimination fuses into
+// the projection with column-at-a-time key encoding.
 type colProjectIter struct {
 	q      *analyze.Query
 	layout *analyze.Layout
@@ -171,8 +174,8 @@ func (p *colProjectIter) emitDistinct(b *iter.Batch) error {
 // column-at-a-time when every GROUP BY expression is a column reference,
 // and aggregate arguments that are column references fold straight from
 // the vectors. Everything else falls back to scalar evaluation over a
-// row view. Grouping order, fold order per state and finalisation reuse
-// the row aggregator, so results are identical.
+// row view. Groups keep first-appearance order, and each state folds its
+// rows in stream order.
 type colAggIter struct {
 	q      *analyze.Query
 	layout *analyze.Layout
@@ -313,8 +316,7 @@ func (a *colAggIter) foldBatch(acc *aggregator) error {
 	a.gptrs = gs
 
 	// Fold each aggregate spec column-at-a-time. States are disjoint per
-	// (group, spec), so per-state fold order equals the row order the
-	// scalar aggregator uses.
+	// (group, spec), so each state still folds its rows in stream order.
 	for si, spec := range a.q.Aggs {
 		switch {
 		case spec.Star:

@@ -3,13 +3,14 @@
 // projection, DISTINCT, hash aggregation with HAVING, sorting by output
 // columns and LIMIT/OFFSET.
 //
-// The tail is a pull pipeline over batches of weighted rows (see
-// internal/iter): Stream composes projection → DISTINCT → ORDER BY →
-// LIMIT/OFFSET stages over any joined intermediate iterator. Stages that
-// need nothing beyond the current batch (projection, DISTINCT, LIMIT)
-// stream; aggregation holds only its groups and sorting is the single
-// stage that must materialise. A LIMIT k query without ORDER BY
-// therefore stops pulling from the join pipeline after k rows.
+// The tail is a pull pipeline (see internal/iter): StreamCol composes
+// projection or aggregation over the column batches of any joined
+// intermediate iterator, then DISTINCT → ORDER BY → LIMIT/OFFSET stages
+// over the projected rows. Stages that need nothing beyond the current
+// batch (projection, DISTINCT, LIMIT) stream; aggregation holds only its
+// groups and sorting is the single stage that must materialise. A LIMIT
+// k query without ORDER BY therefore stops pulling from the join
+// pipeline after k rows.
 package exec
 
 import (
@@ -21,72 +22,6 @@ import (
 	"github.com/bounded-eval/beas/internal/sqlparser"
 	"github.com/bounded-eval/beas/internal/value"
 )
-
-// Stream composes the relational tail of q over an iterator of joined
-// intermediate rows. The returned iterator yields final result rows
-// (weight-free: bag multiplicities are expanded by projection and
-// consumed by aggregation). Closing it early — or exhausting a LIMIT —
-// stops pulling from in.
-func Stream(q *analyze.Query, in iter.Iterator, layout *analyze.Layout) iter.Iterator {
-	var it iter.Iterator
-	if q.IsAgg {
-		it = &aggIter{q: q, layout: layout, in: in}
-	} else {
-		it = &projectIter{q: q, layout: layout, in: in}
-	}
-	if q.Distinct {
-		it = &distinctIter{in: it}
-	}
-	if len(q.OrderBy) > 0 {
-		it = &sortIter{in: it, keys: q.OrderBy}
-	}
-	if q.Limit != nil || q.Offset != nil {
-		it = &clipIter{in: it, limit: q.Limit, offset: q.Offset}
-	}
-	return it
-}
-
-// projectIter evaluates the output expressions per row, replicating each
-// projected row by its bag weight. Under DISTINCT the weights are
-// irrelevant (duplicates collapse downstream) and each row is emitted
-// once.
-type projectIter struct {
-	q      *analyze.Query
-	layout *analyze.Layout
-	in     iter.Iterator
-	buf    iter.Batch
-}
-
-func (p *projectIter) Open() error  { return p.in.Open() }
-func (p *projectIter) Close() error { return p.in.Close() }
-
-func (p *projectIter) Next(b *iter.Batch) (bool, error) {
-	b.Reset()
-	for b.Len() == 0 {
-		ok, err := p.in.Next(&p.buf)
-		if err != nil || !ok {
-			return b.Len() > 0, err
-		}
-		for ri, r := range p.buf.Rows {
-			res := make(value.Row, len(p.q.Outputs))
-			for i, o := range p.q.Outputs {
-				v, err := analyze.Eval(o.Expr, r, p.layout)
-				if err != nil {
-					return false, err
-				}
-				res[i] = v
-			}
-			w := p.buf.Weight(ri)
-			if p.q.Distinct {
-				w = 1
-			}
-			for ; w > 0; w-- {
-				b.Append(res, 1)
-			}
-		}
-	}
-	return true, nil
-}
 
 // distinctIter drops rows already seen, preserving first-occurrence
 // order across batches.
@@ -219,52 +154,6 @@ func drain(it iter.Iterator) ([]value.Row, []int64, error) {
 	}
 }
 
-// aggIter performs hash aggregation: it folds every input batch into its
-// group table (holding only one state per group, never the input) and
-// streams the finalised groups.
-type aggIter struct {
-	q      *analyze.Query
-	layout *analyze.Layout
-	in     iter.Iterator
-	out    iter.Iterator
-	buf    iter.Batch
-}
-
-func (a *aggIter) Open() error { return a.in.Open() }
-
-func (a *aggIter) Close() error {
-	if a.out != nil {
-		a.out.Close()
-	}
-	return a.in.Close()
-}
-
-func (a *aggIter) Next(b *iter.Batch) (bool, error) {
-	if a.out == nil {
-		acc := newAggregator(a.q, a.layout)
-		for {
-			ok, err := a.in.Next(&a.buf)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				break
-			}
-			for ri, r := range a.buf.Rows {
-				if err := acc.add(r, a.buf.Weight(ri)); err != nil {
-					return false, err
-				}
-			}
-		}
-		rows, err := acc.result()
-		if err != nil {
-			return false, err
-		}
-		a.out = iter.FromRows(rows, nil)
-	}
-	return a.out.Next(b)
-}
-
 // aggState accumulates one aggregate over one group.
 type aggState struct {
 	count    int64
@@ -310,32 +199,6 @@ func (a *aggregator) newGroup(keys value.Row) *group {
 	return g
 }
 
-// add folds one base row (with bag multiplicity w) into its group.
-func (a *aggregator) add(r value.Row, w int64) error {
-	keys := make(value.Row, len(a.q.GroupBy))
-	for i, ge := range a.q.GroupBy {
-		v, err := analyze.Eval(ge, r, a.layout)
-		if err != nil {
-			return err
-		}
-		keys[i] = v
-	}
-	a.kb = value.AppendRowKey(a.kb[:0], keys, nil)
-	g, ok := a.groups[string(a.kb)]
-	if !ok {
-		k := string(a.kb)
-		g = a.newGroup(keys)
-		a.groups[k] = g
-		a.order = append(a.order, k)
-	}
-	for i, spec := range a.q.Aggs {
-		if err := accumulate(g.aggs[i], spec, r, w, a.layout); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // result finalises the groups, filters with HAVING and evaluates the
 // output expressions against the post-aggregation rows.
 func (a *aggregator) result() ([]value.Row, error) {
@@ -375,24 +238,8 @@ func (a *aggregator) result() ([]value.Row, error) {
 	return out, nil
 }
 
-// accumulate folds one base row (with bag multiplicity w) into an
-// aggregate state.
-func accumulate(st *aggState, spec analyze.AggSpec, row value.Row, w int64, layout *analyze.Layout) error {
-	if spec.Star {
-		st.count += w
-		st.nonEmpty = true
-		return nil
-	}
-	v, err := analyze.Eval(spec.Arg, row, layout)
-	if err != nil {
-		return err
-	}
-	return foldValue(st, spec, v, w)
-}
-
 // foldValue folds one already-evaluated argument value into an aggregate
-// state: NULL skipping and DISTINCT filtering, then the shared fold. It
-// is the common tail of the row accumulate and the columnar fold.
+// state: NULL skipping and DISTINCT filtering, then the shared fold.
 func foldValue(st *aggState, spec analyze.AggSpec, v value.Value, w int64) error {
 	if v.IsNull() {
 		return nil // SQL aggregates skip NULLs

@@ -49,7 +49,7 @@ func fixture(t *testing.T, sql string) (*analyze.Query, *analyze.Layout, []value
 // are all 1) and returns the final result rows.
 func collect(t *testing.T, q *analyze.Query, rows []value.Row, weights []int64, layout *analyze.Layout) []value.Row {
 	t.Helper()
-	out, _, err := iter.Collect(Stream(q, iter.FromRows(rows, weights), layout))
+	out, _, err := iter.Collect(StreamCol(q, iter.ColFromRows(rows, weights, layout.Len(), 0), layout))
 	if err != nil {
 		t.Fatal(err)
 	}

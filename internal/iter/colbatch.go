@@ -405,37 +405,6 @@ type ColIterator interface {
 	Close() error
 }
 
-// RowView adapts a columnar stream to the row iterator interface. Every
-// emitted row is freshly allocated, so buffering consumers (hash joins,
-// sorts) may retain references per the Batch contract.
-func RowView(ci ColIterator, width int) Iterator {
-	return &rowView{ci: ci, width: width}
-}
-
-type rowView struct {
-	ci    ColIterator
-	width int
-	cb    ColBatch
-}
-
-func (r *rowView) Open() error  { return r.ci.Open() }
-func (r *rowView) Close() error { return r.ci.Close() }
-
-func (r *rowView) Next(b *Batch) (bool, error) {
-	b.Reset()
-	ok, err := r.ci.NextCols(&r.cb)
-	if !ok || err != nil {
-		return ok, err
-	}
-	for i, n := 0, r.cb.Len(); i < n; i++ {
-		p := r.cb.Index(i)
-		row := make(value.Row, r.width)
-		r.cb.ReadRow(p, row)
-		b.Append(row, r.cb.Weight(p))
-	}
-	return true, nil
-}
-
 // CountedCols wraps ci so that *n accrues the number of live rows
 // streamed, mirroring Counted for row iterators.
 func CountedCols(ci ColIterator, n *int64) ColIterator {

@@ -13,6 +13,11 @@
 // children for just enough input to fill one output batch. A LIMIT k
 // query therefore stops pulling — and the scans stop reading — after k
 // rows, instead of materializing every intermediate relation.
+//
+// Below the relational tail — scans, filters, joins and fetch steps —
+// operators exchange column batches (ColBatch through ColIterator). The
+// tail projects them to row batches (Batch through Iterator), which is
+// what DISTINCT, ORDER BY, LIMIT and the result cursors consume.
 package iter
 
 import (

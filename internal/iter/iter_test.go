@@ -1,6 +1,7 @@
 package iter
 
 import (
+	"math"
 	"testing"
 
 	"github.com/bounded-eval/beas/internal/value"
@@ -89,5 +90,95 @@ func TestOnCloseEarlyClose(t *testing.T) {
 	it.Close() // abandon mid-stream, as LIMIT does
 	if calls != 1 {
 		t.Fatalf("finalizer ran %d times on early close", calls)
+	}
+}
+
+// TestColumnKeysMatchRowKeys pins the column-at-a-time key encoding to
+// the row encoding: for every live row, ColBatch.AppendRowKeys must
+// produce exactly value.AppendRowKey of the row read back with ReadRow.
+// The hash join, fused DISTINCT and grouping key on the column form, so
+// equal values must encode equally whichever way they are read —
+// across kinds, NULL, NaN payloads, ±0, integral floats against ints,
+// boxed mixed-kind columns and batches with a selection vector.
+func TestColumnKeysMatchRowKeys(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1) // another NaN payload
+	null := value.NewNull()
+	cols := [][]value.Value{
+		// Int, with NULL and extremes.
+		{value.NewInt(3), null, value.NewInt(math.MinInt64), value.NewInt(math.MaxInt64), value.NewInt(0), value.NewInt(-1), value.NewInt(2), value.NewInt(7)},
+		// Float: integral values (3.0 keys as Int 3), NaN payloads, ±0, ±Inf, NULL.
+		{value.NewFloat(3), value.NewFloat(math.NaN()), value.NewFloat(nan2), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(0), null, value.NewFloat(2.5), value.NewFloat(math.Inf(-1))},
+		// String, with the empty string and an embedded NUL.
+		{value.NewString(""), value.NewString("a\x00b"), null, value.NewString("a"), value.NewString("ab"), value.NewString(""), value.NewString("3"), value.NewString("x")},
+		// Bool, with NULL.
+		{value.NewBool(true), value.NewBool(false), null, value.NewBool(true), null, value.NewBool(false), value.NewBool(true), value.NewBool(false)},
+		// All NULL: the column never leaves kind Null.
+		{null, null, null, null, null, null, null, null},
+		// Boxed after a kind conflict, with NULLs before and after it.
+		{null, value.NewInt(3), value.NewFloat(3), value.NewString("3"), null, value.NewBool(true), value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1))},
+		// Boxed: ints then integral floats of equal value.
+		{value.NewInt(1), value.NewInt(2), value.NewFloat(1), value.NewFloat(2), value.NewFloat(math.Copysign(0, -1)), value.NewInt(0), null, value.NewFloat(1.5)},
+	}
+	nrows := len(cols[0])
+	rows := make([]value.Row, nrows)
+	for i := range rows {
+		rows[i] = make(value.Row, len(cols))
+		for j := range cols {
+			rows[i][j] = cols[j][i]
+		}
+	}
+	posSets := [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {1, 1}, {0, 5}, {}}
+
+	check := func(name string, cb *ColBatch) {
+		t.Helper()
+		if !cb.Col(5).Boxed() || !cb.Col(6).Boxed() {
+			t.Fatalf("%s: mixed-kind columns did not box", name)
+		}
+		row := make(value.Row, cb.Width())
+		for _, pos := range posSets {
+			keys := make([][]byte, cb.Rows())
+			cb.AppendRowKeys(pos, keys)
+			for i := 0; i < cb.Len(); i++ {
+				p := cb.Index(i)
+				cb.ReadRow(p, row)
+				if want := value.AppendRowKey(nil, row, pos); string(keys[p]) != string(want) {
+					t.Errorf("%s: row %d pos %v: column key %x, row key %x", name, p, pos, keys[p], want)
+				}
+			}
+		}
+	}
+
+	var cb ColBatch
+	cb.Reset(len(cols))
+	for i, r := range rows {
+		cb.AppendRow(r, int64(i+1))
+	}
+	check("plain", &cb)
+
+	sel := cb.SelBuf()
+	for p := 1; p < nrows; p += 2 {
+		sel = append(sel, p)
+	}
+	cb.SetSel(sel)
+	check("selected", &cb)
+
+	// Integral floats key like the ints they equal: rows 0 of the Int and
+	// Float columns (3 and 3.0), and the boxed column's 1/1.0, 2/2.0 and
+	// -0.0/0.
+	keyOf := func(j, p int) string {
+		keys := make([][]byte, cb.Rows())
+		cb.AppendRowKeys([]int{j}, keys)
+		return string(keys[p])
+	}
+	if keyOf(0, 0) != keyOf(1, 0) {
+		t.Errorf("Int 3 and Float 3.0 encode differently")
+	}
+	for _, pair := range [][2]int{{0, 2}, {1, 3}, {4, 5}} {
+		if keyOf(6, pair[0]) != keyOf(6, pair[1]) {
+			t.Errorf("boxed rows %d and %d hold equal numbers but encode differently", pair[0], pair[1])
+		}
+	}
+	if keyOf(1, 1) != keyOf(1, 2) {
+		t.Errorf("NaN payloads encode differently")
 	}
 }

@@ -48,46 +48,3 @@ func (t *timed) Close() error {
 	}
 	return err
 }
-
-// TimedCol is Timed for columnar iterators.
-func TimedCol(it ColIterator, done func(batches, rows int64, d time.Duration)) ColIterator {
-	return &timedCol{it: it, done: done}
-}
-
-type timedCol struct {
-	it      ColIterator
-	done    func(batches, rows int64, d time.Duration)
-	batches int64
-	rows    int64
-	dur     time.Duration
-	closed  bool
-}
-
-func (t *timedCol) Open() error {
-	t0 := time.Now()
-	err := t.it.Open()
-	t.dur += time.Since(t0)
-	return err
-}
-
-func (t *timedCol) NextCols(b *ColBatch) (bool, error) {
-	t0 := time.Now()
-	ok, err := t.it.NextCols(b)
-	t.dur += time.Since(t0)
-	if ok {
-		t.batches++
-		t.rows += int64(b.Rows())
-	}
-	return ok, err
-}
-
-func (t *timedCol) Close() error {
-	err := t.it.Close()
-	if !t.closed {
-		t.closed = true
-		if t.done != nil {
-			t.done(t.batches, t.rows, t.dur)
-		}
-	}
-	return err
-}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -182,7 +183,7 @@ func runPlan(t *testing.T, q *analyze.Query, chk *core.CheckResult) []value.Row 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := core.Run(plan)
+	rows, _, err := core.RunContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
