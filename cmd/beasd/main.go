@@ -167,14 +167,14 @@ func main() {
 		SlowQueryLog:   slowLog,
 		Capture:        capture,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	// The pprof listener is separate from the service address on purpose:
 	// profiles stay off the public surface unless explicitly exposed.
 	if *debugAddr != "" {
 		go func() {
 			fmt.Printf("beasd: pprof on %s/debug/pprof/\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			if err := newHTTPServer(*debugAddr, nil).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "beasd: debug listener:", err)
 			}
 		}()
@@ -218,4 +218,25 @@ func budgetStr(b uint64) string {
 		return "unlimited"
 	}
 	return fmt.Sprintf("%d", b)
+}
+
+// Connection timeouts of both listeners. A client must finish sending its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout, so a connection that never
+// completes a request cannot be held open forever. There is deliberately
+// no WriteTimeout: /query answers stream for as long as the query runs
+// (bounded by -timeout), and pprof profiles for as long as asked.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the HTTP server for one listener address.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

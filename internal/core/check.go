@@ -17,12 +17,20 @@
 // covered when every atom is fetchable. Requiring a single constraint per
 // atom to span all used attributes guarantees each fetched partial tuple
 // has a single witness in D, so bounded plans return exact answers.
+//
+// # One derivation
+//
+// CoverState is the only implementation of that discipline. Check is a
+// greedy policy over it, the cost-based optimizer (internal/opt) searches
+// over clones of it, and NewPlan reads key sources and filter placement
+// from the state the chosen derivation ended in, so the checker's
+// verdict, the bound M, the optimizer's alternatives and the plan's
+// filter schedule all come from one rule.
 package core
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"github.com/bounded-eval/beas/internal/access"
@@ -101,7 +109,9 @@ type CheckResult struct {
 	// plan employs (reported by the paper's performance analyser).
 	ConstraintsUsed int
 
-	classes *classSet
+	// cover is the derivation's final state: plan generation reads key
+	// sources and filter placement from it.
+	cover *CoverState
 }
 
 // classSet is a union-find over the (atom, attribute) nodes used by the
@@ -118,6 +128,9 @@ type classInfo struct {
 	hasConsts bool
 	covered   bool
 	bound     uint64
+	// first is the class member materialised first, once materialised.
+	first        analyze.ColID
+	materialised bool
 }
 
 func newClassSet() *classSet {
@@ -165,6 +178,18 @@ func (cs *classSet) union(a, b analyze.ColID) {
 }
 
 func (cs *classSet) get(id analyze.ColID) *classInfo { return cs.info[cs.find(id)] }
+
+// lookup is get without path compression: it never writes, so readers of
+// a finished derivation may share it. id must already be in a class.
+func (cs *classSet) lookup(id analyze.ColID) *classInfo {
+	for {
+		p, ok := cs.parent[id]
+		if !ok || p == id {
+			return cs.info[id]
+		}
+		id = p
+	}
+}
 
 func intersectValues(a, b []value.Value) []value.Value {
 	var out []value.Value
@@ -231,91 +256,44 @@ type Provider interface {
 // Check runs the BE Checker on a resolved query under the access schema.
 // It never touches the data: the verdict and the bound M are deduced from
 // the query and the constraints alone (paper feature (1), "quantified
-// data access").
+// data access"). It is the greedy policy over the coverage derivation
+// (CoverState), mirroring the plan-generation algorithm of [SIGMOD'16]
+// extended to SQL: repeatedly apply the fetchable (atom, constraint) pair
+// with the smallest worst-case output bound, the first strict minimum in
+// Fetchable's order, until every atom is fetched or none is fetchable.
 func Check(q *analyze.Query, as Provider) *CheckResult {
-	res := &CheckResult{}
-	cs, contradiction := seedClasses(q)
-	res.classes = cs
-	ord := &classOrdinal{cs: cs, ids: make(map[analyze.ColID]int)}
+	st, contradiction := NewCoverState(q)
 	if contradiction {
-		res.EmptyGuaranteed = true
-		res.Covered = true
-		res.Reason = "contradictory constant predicates; empty answer guaranteed"
-		return res
-	}
-
-	// Fixpoint: repeatedly pick the cheapest fetchable (atom, constraint)
-	// pair, mirroring the plan-generation algorithm of [SIGMOD'16]
-	// extended to SQL.
-	fetched := make([]bool, len(q.Atoms))
-	remaining := len(q.Atoms)
-	var total, outRows uint64
-	outRows = 1
-	usedConstraints := make(map[string]bool)
-
-	for remaining > 0 {
-		best := -1
-		var bestStep FetchStep
-		for ai := range q.Atoms {
-			if fetched[ai] {
-				continue
-			}
-			step, ok := bestConstraintFor(q, ai, as, cs)
-			if !ok {
-				continue
-			}
-			if best < 0 || step.OutBound < bestStep.OutBound {
-				best, bestStep = ai, step
-			}
+		return &CheckResult{
+			Covered:         true,
+			EmptyGuaranteed: true,
+			Reason:          "contradictory constant predicates; empty answer guaranteed",
+			cover:           st,
 		}
-		if best < 0 {
+	}
+	var steps []FetchStep
+	for !st.Done() {
+		cands := st.Fetchable(as)
+		if len(cands) == 0 {
 			break
 		}
-		fetched[best] = true
-		remaining--
-		for i, x := range bestStep.XAttrs {
-			bestStep.XClasses[i] = ord.of(analyze.ColID{Atom: best, Attr: x})
-		}
-		res.Steps = append(res.Steps, bestStep)
-		usedConstraints[bestStep.Constraint.ID()] = true
-		total = addSat(total, bestStep.OutBound)
-		outRows = mulSat(outRows, maxU64(bestStep.OutBound, 1))
-
-		// Cover the classes of the materialised attributes: the number of
-		// distinct values of any fetched attribute is at most the step's
-		// output bound.
-		for _, attr := range q.UsedAttrs(best) {
-			info := cs.get(analyze.ColID{Atom: best, Attr: attr})
-			newBound := bestStep.OutBound
-			if info.covered {
-				newBound = minU64(info.bound, newBound)
+		best := 0
+		for i := range cands {
+			if cands[i].OutBound < cands[best].OutBound {
+				best = i
 			}
-			info.covered, info.bound = true, newBound
 		}
+		st.Apply(&cands[best])
+		steps = append(steps, cands[best])
 	}
-
-	res.TotalBound = total
-	res.OutputBound = outRows
-	res.ConstraintsUsed = len(usedConstraints)
-	if remaining == 0 {
-		res.Covered = true
-		return res
-	}
-	// Report the first blocking atom.
-	for ai := range q.Atoms {
-		if !fetched[ai] {
-			res.Reason = blockReason(q, ai, as, cs)
-			break
-		}
-	}
-	return res
+	return st.result(steps, as)
 }
 
 // seedClasses builds the query's equivalence classes from equality and
 // IN conjuncts, ensures every used attribute has a class, and marks
 // const-covered classes. contradiction reports an unsatisfiable constant
 // candidate set (empty answer guaranteed).
-func seedClasses(q *analyze.Query) (cs *classSet, contradiction bool) {
+func seedClasses(q *analyze.Query, used [][]int) (cs *classSet, contradiction bool) {
 	cs = newClassSet()
 	for _, c := range q.Conjuncts {
 		switch c.Kind {
@@ -337,8 +315,8 @@ func seedClasses(q *analyze.Query) (cs *classSet, contradiction bool) {
 			}
 		}
 	}
-	for ai := range q.Atoms {
-		for _, attr := range q.UsedAttrs(ai) {
+	for ai, attrs := range used {
+		for _, attr := range attrs {
 			cs.find(analyze.ColID{Atom: ai, Attr: attr})
 		}
 	}
@@ -352,130 +330,6 @@ func seedClasses(q *analyze.Query) (cs *classSet, contradiction bool) {
 		}
 	}
 	return cs, false
-}
-
-// stepsForAtom returns every applicable constraint for atom ai as a
-// fetch step: X-classes covered and used(ai) ⊆ X ∪ Y, skipping indices
-// invalidated by maintenance, in provider order.
-func stepsForAtom(q *analyze.Query, ai int, as Provider, cs *classSet) []FetchStep {
-	atom := q.Atoms[ai]
-	used := q.UsedAttrs(ai)
-	usedNames := make([]string, len(used))
-	for i, a := range used {
-		usedNames[i] = atom.Rel.Attrs[a].Name
-	}
-	var out []FetchStep
-	for _, c := range as.ForRelation(atom.Rel.Name) {
-		idx, ok := as.Index(c)
-		if !ok || (idx != nil && idx.Invalid()) {
-			continue
-		}
-		if !c.Covers(usedNames) {
-			continue
-		}
-		xAttrs, err := atom.Rel.AttrIndices(c.X)
-		if err != nil {
-			continue
-		}
-		// All X classes covered? Compute the key bound over distinct
-		// classes (two X attributes in one class contribute once).
-		keyBound := uint64(1)
-		applicable := true
-		seenClass := make(map[analyze.ColID]bool)
-		for _, xa := range xAttrs {
-			id := analyze.ColID{Atom: ai, Attr: xa}
-			root := cs.find(id)
-			info := cs.info[root]
-			if !info.covered {
-				applicable = false
-				break
-			}
-			if seenClass[root] {
-				continue
-			}
-			seenClass[root] = true
-			keyBound = mulSat(keyBound, info.bound)
-		}
-		if !applicable {
-			continue
-		}
-		yAttrs, err := atom.Rel.AttrIndices(c.Y)
-		if err != nil {
-			continue
-		}
-		out = append(out, FetchStep{
-			Atom:       ai,
-			Constraint: c,
-			Index:      idx,
-			XAttrs:     xAttrs,
-			YAttrs:     yAttrs,
-			XClasses:   make([]int, len(xAttrs)),
-			KeyBound:   keyBound,
-			OutBound:   mulSat(keyBound, uint64(c.N)),
-		})
-	}
-	return out
-}
-
-// bestConstraintFor returns the cheapest applicable constraint for atom
-// ai, if any (first strict minimum in provider order, as before).
-func bestConstraintFor(q *analyze.Query, ai int, as Provider, cs *classSet) (FetchStep, bool) {
-	var best FetchStep
-	found := false
-	for _, s := range stepsForAtom(q, ai, as, cs) {
-		if !found || s.OutBound < best.OutBound {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
-
-// blockReason explains why atom ai is not fetchable.
-func blockReason(q *analyze.Query, ai int, as Provider, cs *classSet) string {
-	atom := q.Atoms[ai]
-	used := q.UsedAttrs(ai)
-	usedNames := make([]string, len(used))
-	for i, a := range used {
-		usedNames[i] = atom.Rel.Attrs[a].Name
-	}
-	cons := as.ForRelation(atom.Rel.Name)
-	if len(cons) == 0 {
-		return fmt.Sprintf("atom %s: no access constraints on relation %s", atom.Name, atom.Rel.Name)
-	}
-	var reasons []string
-	for _, c := range cons {
-		if !c.Covers(usedNames) {
-			var missing []string
-			for _, n := range usedNames {
-				if !c.HasX(n) && !c.HasY(n) {
-					missing = append(missing, n)
-				}
-			}
-			reasons = append(reasons, fmt.Sprintf("%v does not cover {%s}", c, strings.Join(missing, ",")))
-			continue
-		}
-		xAttrs, _ := atom.Rel.AttrIndices(c.X)
-		var uncovered []string
-		for i, xa := range xAttrs {
-			if !cs.get(analyze.ColID{Atom: ai, Attr: xa}).covered {
-				uncovered = append(uncovered, c.X[i])
-			}
-		}
-		reasons = append(reasons, fmt.Sprintf("%v: key attributes {%s} not covered", c, strings.Join(uncovered, ",")))
-	}
-	sort.Strings(reasons)
-	return fmt.Sprintf("atom %s (relation %s, uses {%s}): %s",
-		atom.Name, atom.Rel.Name, strings.Join(usedNames, ","), strings.Join(reasons, "; "))
-}
-
-// FetchedAtoms returns the atoms materialised by the derivation (all
-// atoms when Covered).
-func (r *CheckResult) FetchedAtoms() []int {
-	out := make([]int, len(r.Steps))
-	for i, s := range r.Steps {
-		out[i] = s.Atom
-	}
-	return out
 }
 
 // WithinBudget reports whether the deduced bound fits a user budget on
@@ -521,18 +375,4 @@ func mulSat(a, b uint64) uint64 {
 		return Unbounded
 	}
 	return a * b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

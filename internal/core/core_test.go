@@ -458,3 +458,36 @@ func TestBoundSaturationInCheck(t *testing.T) {
 		t.Error("saturated bound cannot fit any budget")
 	}
 }
+
+// TestNewPlanKeySourceDeterministic: when a key's class has two
+// materialised members, plan generation reads the one materialised first,
+// on every call — the prepared plan must not depend on map order.
+func TestNewPlanKeySourceDeterministic(t *testing.T) {
+	e := newEnv(t)
+	e.constraint(t, "business({type} -> {pnum}, 50)")
+	e.constraint(t, "package({pnum} -> {pid}, 12)")
+	e.constraint(t, "call({pnum} -> {recnum}, 500)")
+	q := e.analyze(t, "SELECT call.recnum FROM business, package, call "+
+		"WHERE business.type = 'x' AND package.pnum = business.pnum AND call.pnum = package.pnum")
+	chk := Check(q, e.as)
+	if !chk.Covered || len(chk.Steps) != 3 {
+		t.Fatalf("want a covered three-step derivation, got %s", chk.Describe())
+	}
+	slots := make(map[int]int)
+	for i := 0; i < 100; i++ {
+		p, err := NewPlan(q, chk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := p.Steps[2]
+		if q.Atoms[last.Atom].Name != "call" || last.Keys[0].Consts != nil {
+			t.Fatalf("last step should fetch call by a slot key: %s", p.Describe())
+		}
+		slots[last.Keys[0].Slot]++
+	}
+	// Slot 0 is business.type, slot 1 business.pnum (materialised first),
+	// slot 2 package.pnum.
+	if len(slots) != 1 || slots[1] != 100 {
+		t.Fatalf("call's key read slots %v over 100 plans, want slot 1 every time", slots)
+	}
+}

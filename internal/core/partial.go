@@ -27,7 +27,7 @@ type PartialPlan struct {
 }
 
 // NewPartialPlan builds a partially bounded plan for q. The checker's
-// fixpoint already identifies every fetchable atom even when the whole
+// derivation already identifies every fetchable atom even when the whole
 // query is not covered; those atoms and the conjuncts fully contained in
 // them form the bounded sub-query.
 func NewPartialPlan(q *analyze.Query, chk *CheckResult) (*PartialPlan, error) {
@@ -35,12 +35,9 @@ func NewPartialPlan(q *analyze.Query, chk *CheckResult) (*PartialPlan, error) {
 		return nil, fmt.Errorf("core: query is covered; use NewPlan")
 	}
 	pp := &PartialPlan{Check: chk}
-	fetched := make(map[int]bool)
-	for _, s := range chk.Steps {
-		fetched[s.Atom] = true
-	}
+	st := chk.cover
 	for ai := range q.Atoms {
-		if fetched[ai] {
+		if st.fetched[ai] {
 			pp.Fetched = append(pp.Fetched, ai)
 		} else {
 			pp.Remaining = append(pp.Remaining, ai)
@@ -50,18 +47,19 @@ func NewPartialPlan(q *analyze.Query, chk *CheckResult) (*PartialPlan, error) {
 		return pp, nil
 	}
 
-	// Sub-query: same atoms, conjuncts contained in the fetched set, and
-	// outputs forcing materialisation of every attribute the full query
-	// uses on fetched atoms (downstream joins and projections need them).
+	// Sub-query: same atoms, the conjuncts the derivation made evaluable
+	// (those contained in the fetched set), and outputs forcing
+	// materialisation of every attribute the full query uses on fetched
+	// atoms (downstream joins and projections need them).
 	sub := &analyze.Query{Atoms: q.Atoms}
-	for _, c := range q.Conjuncts {
-		if atomsSubset(c.Refs, fetched) {
-			sub.Conjuncts = append(sub.Conjuncts, c)
+	for ci, at := range st.scheduled {
+		if at != 0 {
+			sub.Conjuncts = append(sub.Conjuncts, q.Conjuncts[ci])
 		}
 	}
 	for _, ai := range pp.Fetched {
 		atom := q.Atoms[ai]
-		for _, attr := range q.UsedAttrs(ai) {
+		for _, attr := range st.UsedAttrs(ai) {
 			name := atom.Name + "." + atom.Rel.Attrs[attr].Name
 			sub.Outputs = append(sub.Outputs, analyze.OutputCol{
 				Name: name,
@@ -149,17 +147,10 @@ func atomNames(q *analyze.Query, atoms []int) string {
 	return strings.Join(names, ", ")
 }
 
-func atomsSubset(refs []int, set map[int]bool) bool {
-	for _, a := range refs {
-		if !set[a] {
-			return false
-		}
-	}
-	return true
-}
-
-// newPlanFromSteps builds an executable plan from the checker's steps
-// without requiring full coverage (used by the partial optimizer).
+// newPlanFromSteps builds an executable plan for the sub-query q from
+// the checker's steps without requiring full coverage (used by the
+// partial optimizer). Its filters are the conjuncts the derivation
+// scheduled, which are q's.
 func newPlanFromSteps(q *analyze.Query, chk *CheckResult) (*Plan, error) {
 	forced := *chk
 	forced.Covered = true
@@ -172,11 +163,6 @@ func newPlanFromSteps(q *analyze.Query, chk *CheckResult) (*Plan, error) {
 }
 
 // BoundedSubqueryBound returns the deduced fetch bound of the bounded
-// part (the conventional part is unbounded by definition).
-func (pp *PartialPlan) BoundedSubqueryBound() uint64 {
-	var total uint64
-	for _, s := range pp.Check.Steps {
-		total = addSat(total, s.OutBound)
-	}
-	return total
-}
+// part (the conventional part is unbounded by definition): the M of the
+// derivation's fetchable steps.
+func (pp *PartialPlan) BoundedSubqueryBound() uint64 { return pp.Check.TotalBound }

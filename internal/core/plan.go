@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/bounded-eval/beas/internal/analyze"
@@ -31,8 +32,8 @@ type PlanStep struct {
 	YUsed  []int // positions into Constraint.Y / YAttrs that the query uses
 	YSlots []int
 	// Filters are the conjuncts evaluated right after this step extends a
-	// row (every conjunct is applied exactly once, at the earliest step
-	// where all of its columns are materialised).
+	// row: every conjunct is applied exactly once, at the step the
+	// derivation made it evaluable (CoverState's readiness rule).
 	Filters []analyze.Conjunct
 }
 
@@ -58,7 +59,9 @@ type Plan struct {
 }
 
 // NewPlan turns a successful check into an executable bounded plan. It
-// fails if the check did not cover the query.
+// fails if the check did not cover the query. Key sources and filter
+// placement come from the check's derivation; NewPlan assigns the
+// intermediate-row slots.
 func NewPlan(q *analyze.Query, chk *CheckResult) (*Plan, error) {
 	if !chk.Covered {
 		return nil, fmt.Errorf("core: query is not covered: %s", chk.Reason)
@@ -67,101 +70,43 @@ func NewPlan(q *analyze.Query, chk *CheckResult) (*Plan, error) {
 	if chk.EmptyGuaranteed {
 		return p, nil
 	}
-	applied := make([]bool, len(q.Conjuncts))
-	materialised := make(map[analyze.ColID]bool)
-
-	for _, fs := range chk.Steps {
+	for si, fs := range chk.Steps {
 		ps := PlanStep{FetchStep: fs}
 		atom := fs.Atom
 
-		// Key sources: constants if the class carries them, else a slot of
-		// an already materialised attribute in the same class.
+		// Key sources: constants if the class carries them, else the slot
+		// of the class's first-materialised member.
 		for _, xa := range fs.XAttrs {
-			id := analyze.ColID{Atom: atom, Attr: xa}
-			info := chk.classes.get(id)
-			if info.hasConsts {
-				ps.Keys = append(ps.Keys, KeySource{Consts: info.consts})
+			consts, src, ok := chk.cover.keySource(analyze.ColID{Atom: atom, Attr: xa})
+			if ok && consts != nil {
+				ps.Keys = append(ps.Keys, KeySource{Consts: consts})
 				continue
 			}
-			slot, ok := findClassSlot(chk.classes, p.Layout, materialised, id)
-			if !ok {
+			slot, found := p.Layout.Slot(src)
+			if !ok || !found {
 				return nil, fmt.Errorf("core: internal: no materialised source for key %s.%s of %v",
 					q.Atoms[atom].Name, q.Atoms[atom].Rel.Attrs[xa].Name, fs.Constraint)
 			}
-			ps.Keys = append(ps.Keys, KeySource{Consts: nil, Slot: slot})
+			ps.Keys = append(ps.Keys, KeySource{Slot: slot})
 		}
 
 		// Slot assignments for this atom's X attributes and used Y
 		// attributes.
 		for _, xa := range fs.XAttrs {
-			id := analyze.ColID{Atom: atom, Attr: xa}
-			ps.XSlots = append(ps.XSlots, p.Layout.Add(id))
-			materialised[id] = true
+			ps.XSlots = append(ps.XSlots, p.Layout.Add(analyze.ColID{Atom: atom, Attr: xa}))
 		}
-		usedSet := make(map[int]bool)
-		for _, a := range q.UsedAttrs(atom) {
-			usedSet[a] = true
-		}
+		used := chk.cover.UsedAttrs(atom)
 		for yi, ya := range fs.YAttrs {
-			if !usedSet[ya] {
+			if _, ok := slices.BinarySearch(used, ya); !ok {
 				continue
 			}
-			id := analyze.ColID{Atom: atom, Attr: ya}
 			ps.YUsed = append(ps.YUsed, yi)
-			ps.YSlots = append(ps.YSlots, p.Layout.Add(id))
-			materialised[id] = true
+			ps.YSlots = append(ps.YSlots, p.Layout.Add(analyze.ColID{Atom: atom, Attr: ya}))
 		}
-
-		// Filters that become evaluable now.
-		for ci, c := range q.Conjuncts {
-			if applied[ci] {
-				continue
-			}
-			ready := true
-			for _, id := range analyze.Cols(c.Expr) {
-				if !materialised[id] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				ps.Filters = append(ps.Filters, c)
-				applied[ci] = true
-			}
-		}
+		ps.Filters = chk.cover.filtersOf(si)
 		p.Steps = append(p.Steps, ps)
 	}
-
-	// Every conjunct must have been scheduled: all used columns are
-	// materialised after the last step.
-	for ci, ok := range applied {
-		if !ok && len(analyze.Cols(q.Conjuncts[ci].Expr)) > 0 {
-			return nil, fmt.Errorf("core: internal: conjunct %s never became evaluable", q.Conjuncts[ci])
-		}
-		if !ok {
-			// Column-free conjunct (e.g. 1 = 1): attach to the last step,
-			// or evaluate at finish time for empty plans.
-			if len(p.Steps) > 0 {
-				last := &p.Steps[len(p.Steps)-1]
-				last.Filters = append(last.Filters, q.Conjuncts[ci])
-			}
-		}
-	}
 	return p, nil
-}
-
-// findClassSlot locates a materialised attribute in id's class and returns
-// its slot.
-func findClassSlot(cs *classSet, layout *analyze.Layout, materialised map[analyze.ColID]bool, id analyze.ColID) (int, bool) {
-	root := cs.find(id)
-	for other := range materialised {
-		if cs.find(other) == root {
-			if s, ok := layout.Slot(other); ok {
-				return s, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // Describe renders the plan like the paper's Example 2 walk-through.

@@ -8,7 +8,11 @@
 // statistics catalog's estimated fetched rows and key-set expansion
 // instead of worst-case N.
 //
-// Two invariants make the rewrite safe:
+// The search runs on the checker's own coverage derivation
+// (core.CoverState): the estimator adds only the cost model — estimated
+// rows, distinct values and cost — while coverage, filter scheduling and
+// the running worst-case bound are the state's. Two invariants make the
+// rewrite safe:
 //
 //   - Equivalence: every derivation reachable through
 //     core.CoverState.Fetchable/Apply fetches each atom via one
@@ -16,15 +20,17 @@
 //     filter exactly once, so all derivations return the same bag
 //     (cf. Chirkova & Genesereth on equivalence under embedded
 //     dependencies); only the work differs.
-//   - Admission: the search prunes any derivation whose accumulated
-//     worst-case bound exceeds the greedy derivation's, and the rewritten
-//     CheckResult keeps the greedy TotalBound — so admission control sees
-//     the unchanged a-priori bound M and the executor still provably
-//     fetches at most M tuples.
+//   - Admission: the search prunes any derivation whose running M (the
+//     state's TotalBoundWith) exceeds the greedy derivation's, and
+//     CoverState.Finalize gives the rewritten CheckResult the greedy
+//     TotalBound — so admission control sees the unchanged a-priori bound
+//     M and the executor still provably fetches at most M tuples.
 package opt
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/bounded-eval/beas/internal/analyze"
@@ -70,8 +76,7 @@ func (o *Optimizer) Rewrite(q *analyze.Query, chk *core.CheckResult, as core.Pro
 	// Seed the incumbent with the greedy derivation, costed by the same
 	// model, so the search can only improve on it.
 	base := newEstimator(o.cat, q, st.Clone())
-	greedySteps := make([]core.FetchStep, len(chk.Steps))
-	copy(greedySteps, chk.Steps)
+	greedySteps := slices.Clone(chk.Steps)
 	for i := range greedySteps {
 		// Fresh ordinal arrays: the replay must not overwrite the class
 		// ordinals Check assigned on the original steps.
@@ -82,11 +87,9 @@ func (o *Optimizer) Rewrite(q *analyze.Query, chk *core.CheckResult, as core.Pro
 
 	if len(chk.Steps) > 1 {
 		nodes := 0
-		o.search(q, as, newEstimator(o.cat, q, st), nil, chk.TotalBound, best, &nodes)
+		o.search(as, newEstimator(o.cat, q, st), nil, chk.TotalBound, best, &nodes)
 	}
-
-	out := best.state.Finalize(chk, best.steps)
-	return out
+	return best.state.Finalize(chk, best.steps)
 }
 
 // candidate is the incumbent best complete derivation.
@@ -98,7 +101,7 @@ type candidate struct {
 
 // search extends the derivation prefix held by est with every fetchable
 // step, depth-first with cost and worst-case pruning.
-func (o *Optimizer) search(q *analyze.Query, as core.Provider, est *estimator, prefix []core.FetchStep, worstBudget uint64, best *candidate, nodes *int) {
+func (o *Optimizer) search(as core.Provider, est *estimator, prefix []core.FetchStep, worstBudget uint64, best *candidate, nodes *int) {
 	if est.state.Done() {
 		if est.cost < best.cost {
 			best.steps = append([]core.FetchStep(nil), prefix...)
@@ -125,7 +128,7 @@ func (o *Optimizer) search(q *analyze.Query, as core.Provider, est *estimator, p
 		step := sc.step
 		// Admission pruning: never explore a derivation whose worst case
 		// exceeds the greedy bound M that admission control was told.
-		if worstBudget != core.Unbounded && addSat(est.worst, step.OutBound) > worstBudget {
+		if est.state.TotalBoundWith(step) > worstBudget {
 			continue
 		}
 		next := est.clone()
@@ -133,7 +136,7 @@ func (o *Optimizer) search(q *analyze.Query, as core.Provider, est *estimator, p
 		if next.cost >= best.cost {
 			continue
 		}
-		o.search(q, as, next, append(prefix, step), worstBudget, best, nodes)
+		o.search(as, next, append(prefix, step), worstBudget, best, nodes)
 	}
 }
 
@@ -144,8 +147,8 @@ type scoredStep struct {
 
 // estimator accumulates the cost model's state along one derivation
 // prefix: estimated intermediate rows, estimated distinct values per
-// equivalence class, filter scheduling, and the running cost and
-// worst-case totals.
+// equivalence class and the running cost. Coverage, filter scheduling
+// and the worst-case bound M are the derivation's own (state).
 type estimator struct {
 	cat   *stats.Catalog
 	q     *analyze.Query
@@ -153,44 +156,18 @@ type estimator struct {
 
 	rows    float64         // estimated intermediate rows
 	classDV map[int]float64 // class ordinal → estimated distinct values
-	matz    map[analyze.ColID]bool
-	applied []bool
-
-	cost  float64
-	worst uint64
+	cost    float64
 }
 
 func newEstimator(cat *stats.Catalog, q *analyze.Query, st *core.CoverState) *estimator {
-	return &estimator{
-		cat:     cat,
-		q:       q,
-		state:   st,
-		rows:    1,
-		classDV: make(map[int]float64),
-		matz:    make(map[analyze.ColID]bool),
-		applied: make([]bool, len(q.Conjuncts)),
-	}
+	return &estimator{cat: cat, q: q, state: st, rows: 1, classDV: make(map[int]float64)}
 }
 
 func (e *estimator) clone() *estimator {
-	out := &estimator{
-		cat:     e.cat,
-		q:       e.q,
-		state:   e.state.Clone(),
-		rows:    e.rows,
-		classDV: make(map[int]float64, len(e.classDV)),
-		matz:    make(map[analyze.ColID]bool, len(e.matz)),
-		applied: append([]bool(nil), e.applied...),
-		cost:    e.cost,
-		worst:   e.worst,
-	}
-	for k, v := range e.classDV {
-		out.classDV[k] = v
-	}
-	for k, v := range e.matz {
-		out.matz[k] = v
-	}
-	return out
+	out := *e
+	out.state = e.state.Clone()
+	out.classDV = maps.Clone(e.classDV)
+	return &out
 }
 
 // stepEstimates computes (estKeys, estFetched, estRows) for executing
@@ -261,39 +238,19 @@ func (e *estimator) peek(step core.FetchStep) float64 {
 }
 
 // apply executes step in the model: annotates it with the estimates,
-// advances the coverage state, schedules its filters, updates class
-// distinct-value estimates and accumulates cost and worst-case totals.
+// applies it to the derivation (which schedules its filters), updates
+// class distinct-value estimates and accumulates cost.
 func (e *estimator) apply(step *core.FetchStep) {
 	keys, fetched, rowsOut := e.stepEstimates(*step)
 	step.EstKeys, step.EstFetched, step.EstRows = keys, fetched, rowsOut
 
-	// Mark the step's filters applied (same readiness rule as NewPlan).
 	atom := step.Atom
-	for _, attr := range e.q.UsedAttrs(atom) {
-		e.matz[analyze.ColID{Atom: atom, Attr: attr}] = true
-	}
-	for ci, c := range e.q.Conjuncts {
-		if e.applied[ci] {
-			continue
-		}
-		ready := true
-		for _, id := range analyze.Cols(c.Expr) {
-			if !e.matz[id] {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			e.applied[ci] = true
-		}
-	}
-
 	e.state.Apply(step)
 	e.rows = rowsOut
 	// Newly materialised attributes bound their classes' distinct values
 	// by the base column's NDV and the rows that survived.
 	rel := e.q.Atoms[atom].Rel
-	for _, attr := range e.q.UsedAttrs(atom) {
+	for _, attr := range e.state.UsedAttrs(atom) {
 		cls := e.state.ClassOf(analyze.ColID{Atom: atom, Attr: attr})
 		dv := rowsOut
 		if ndv, ok := e.cat.NDV(rel.Name, rel.Attrs[attr].Name); ok && ndv > 0 && float64(ndv) < dv {
@@ -304,56 +261,35 @@ func (e *estimator) apply(step *core.FetchStep) {
 		}
 	}
 	e.cost += keys + fetched + rowsOut
-	e.worst = addSat(e.worst, step.OutBound)
 }
 
 // pendingSelectivity multiplies the estimated selectivities of every
-// conjunct that becomes evaluable once step's attributes materialise.
-// Conjuncts the fetch enforces by construction — equalities on the
-// step's X attributes, whose values the key enumeration already fixes —
-// contribute nothing: the plan still evaluates them (trivially true),
-// but their effect is in the key set, not the bucket contents.
+// conjunct the derivation would make evaluable with step. Conjuncts the
+// fetch enforces by construction — equalities on the step's X
+// attributes, whose values the key enumeration already fixes — contribute
+// nothing: the plan still evaluates them (trivially true), but their
+// effect is in the key set, not the bucket contents. Nor do column-free
+// conjuncts, which cut no step's rows in particular.
 func (e *estimator) pendingSelectivity(step core.FetchStep) float64 {
-	atom := step.Atom
-	xattr := make(map[analyze.ColID]bool, len(step.XAttrs))
-	for _, xa := range step.XAttrs {
-		xattr[analyze.ColID{Atom: atom, Attr: xa}] = true
-	}
-	newly := make(map[analyze.ColID]bool)
-	for _, attr := range e.q.UsedAttrs(atom) {
-		newly[analyze.ColID{Atom: atom, Attr: attr}] = true
+	xattr := func(id analyze.ColID) bool {
+		return id.Atom == step.Atom && slices.Contains(step.XAttrs, id.Attr)
 	}
 	sel := 1.0
-	for ci, c := range e.q.Conjuncts {
-		if e.applied[ci] {
-			continue
-		}
-		ready, usesNew := true, false
-		for _, id := range analyze.Cols(c.Expr) {
-			if newly[id] {
-				usesNew = true
-				continue
+	e.state.Evaluable(step.Atom, func(c analyze.Conjunct) {
+		switch {
+		case len(c.Refs) == 0:
+			return
+		case c.Kind == analyze.EqAttrConst || c.Kind == analyze.InConsts:
+			if xattr(c.A) {
+				return // the key enumeration probes exactly these constants
 			}
-			if !e.matz[id] {
-				ready = false
-				break
-			}
-		}
-		if !ready || !usesNew {
-			continue
-		}
-		switch c.Kind {
-		case analyze.EqAttrConst, analyze.InConsts:
-			if xattr[c.A] {
-				continue // the key enumeration probes exactly these constants
-			}
-		case analyze.EqAttrAttr:
-			if xattr[c.A] || xattr[c.B] {
-				continue // the key is read from the other side's slot
+		case c.Kind == analyze.EqAttrAttr:
+			if xattr(c.A) || xattr(c.B) {
+				return // the key is read from the other side's slot
 			}
 		}
 		sel *= e.conjunctSelectivity(c)
-	}
+	})
 	return sel
 }
 
@@ -418,11 +354,4 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func addSat(a, b uint64) uint64 {
-	if a > math.MaxUint64-b {
-		return core.Unbounded
-	}
-	return a + b
 }
